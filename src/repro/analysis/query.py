@@ -182,6 +182,11 @@ METRICS: Dict[str, Metric] = {
             _percentile_of("latency", 90.0),
         ),
         Metric(
+            "p95_latency",
+            "95th-percentile latency, linear interpolation",
+            _percentile_of("latency", 95.0),
+        ),
+        Metric(
             "p99_latency",
             "99th-percentile latency, linear interpolation",
             _percentile_of("latency", 99.0),

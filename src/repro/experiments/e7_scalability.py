@@ -9,10 +9,9 @@ number of messages: G, $, P forward; χ, $ backward).
 The table reports the simulator's *deterministic* cost metrics only
 (messages, events, simulated end time), so it stays byte-identical
 across ``--jobs`` values like every other table.  Wall-clock cost is
-covered by the CLI's per-experiment footer and by the
-``benchmarks/`` suite (``bench_e7_scalability.py``, ``bench_kernel.py``);
-per-trial walls are also on each :class:`TrialRecord` for callers
-running the sweep themselves.
+covered by the CLI's per-experiment footer and by the ``evaluation``
+workload of ``perfbench/``; per-trial walls are also on each
+:class:`TrialRecord` for callers running the sweep themselves.
 """
 
 from __future__ import annotations

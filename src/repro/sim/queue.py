@@ -23,12 +23,12 @@ double-cancel all leave ``len(queue)`` exact instead of silently
 undercounting.
 
 .. note::
-   The kernel inlines :meth:`EventQueue.push_new` (in
-   ``Simulator.schedule``) and the body of :meth:`EventQueue.pop_due`
-   (in ``Simulator.run``) to shed a Python call per event; the heap
-   entry layout and ``_counted``/``_live`` bookkeeping here and there
-   must stay in lockstep.  ``_heap`` is mutated only in place
-   (``clear()`` included) so the kernel may hoist a reference to it.
+   ``Simulator.schedule``/``schedule_at`` inline the push and
+   ``Simulator.run`` inlines the body of :meth:`EventQueue.pop_due`,
+   to shed a Python call per event; both use the heap entry layout and
+   ``_counted``/``_live`` bookkeeping defined here.  ``_heap`` is
+   mutated only in place (``clear()`` included) so the kernel may
+   hoist a reference to it.
 """
 
 from __future__ import annotations
@@ -74,19 +74,6 @@ class EventQueue:
             event._counted = False
         return event
 
-    def push_new(self, event: Event) -> Event:
-        """Insert a freshly constructed, never-cancelled event.
-
-        The kernel's scheduling fast path: a just-created event is
-        always alive, so the liveness re-check in :meth:`push` is
-        skipped.  Callers that may hand over dead or recycled events
-        must use :meth:`push`.
-        """
-        heappush(self._heap, (event.time, event.priority, event.seq, event))
-        event._counted = True
-        self._live += 1
-        return event
-
     def pop(self) -> Event:
         """Remove and return the earliest live event.
 
@@ -95,24 +82,19 @@ class EventQueue:
         IndexError
             If the queue holds no live events.
         """
-        heap = self._heap
-        while heap:
-            event = heappop(heap)[3]
-            if event._counted:
-                event._counted = False
-                self._live -= 1
-            if not event.cancelled and not event.fired:
-                return event
-        raise IndexError("pop from empty EventQueue")
+        event = self.pop_due()
+        if event is None:
+            raise IndexError("pop from empty EventQueue")
+        return event
 
     def pop_due(self, until: Optional[float] = None) -> Optional[Event]:
         """Pop the earliest live event due at or before ``until``.
 
         Returns ``None`` — leaving the event in the heap — when the
         queue holds no live event or the earliest one is strictly
-        after the horizon.  This is the kernel run loop's single head
-        access per iteration: it replaces the ``peek_time()`` +
-        ``pop()`` pair, which walked the heap twice per event.
+        after the horizon.  One head access per pop: :meth:`pop` and
+        ``Simulator.step`` pop through it, and ``Simulator.run``
+        inlines its body.
         """
         heap = self._heap
         while heap:

@@ -35,6 +35,7 @@ import argparse
 import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..analysis.query import percentile
 from ..errors import PersistenceError, ScenarioError, WorkloadError
 from ..runtime import (
     RecordWriter,
@@ -55,12 +56,6 @@ from .spec import (
 )
 
 
-def _percentile(sorted_values: Sequence[float], q: float) -> float:
-    """Nearest-rank percentile of an already sorted non-empty sequence."""
-    rank = max(1, int(-(-q * len(sorted_values) // 1)))  # ceil without math
-    return sorted_values[min(rank, len(sorted_values)) - 1]
-
-
 def _cell_stats(payments: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
     """Table row ingredients for one cell's per-payment values."""
     launched = [p for p in payments if not p["liquidity_failed"]]
@@ -70,7 +65,7 @@ def _cell_stats(payments: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         for p in launched
         if (p["def1_ok"] if p["def1_ok"] is not None else p["def2_ok"])
     )
-    latencies = sorted(p["latency"] for p in launched)
+    latencies = [p["latency"] for p in launched]
     span = max(
         (p["arrival_time"] + p["latency"] for p in launched), default=0.0
     )
@@ -79,8 +74,8 @@ def _cell_stats(payments: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
         "liq_failed": failures,
         "liq_rate": failures / len(payments) if payments else 0.0,
         "def_ok": ok / len(launched) if launched else 1.0,
-        "p50": _percentile(latencies, 0.50) if latencies else 0.0,
-        "p95": _percentile(latencies, 0.95) if latencies else 0.0,
+        "p50": percentile(latencies, 50.0) if latencies else 0.0,
+        "p95": percentile(latencies, 95.0) if latencies else 0.0,
         "throughput": len(launched) / span if span > 0.0 else 0.0,
     }
 

@@ -169,7 +169,7 @@ class TestQueryErrors:
 
     def test_unknown_metric_rejected(self, tmp_path):
         with pytest.raises(ScenarioError, match="unknown metrics"):
-            resolve_metrics(["success", "p95_latency"])
+            resolve_metrics(["success", "p97_latency"])
         with pytest.raises(ScenarioError, match="duplicate"):
             resolve_metrics(["success", "success"])
 

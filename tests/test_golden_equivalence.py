@@ -35,6 +35,9 @@ Regenerate (only when a change is *supposed* to alter behaviour)::
 
     PYTHONPATH=src python tests/test_golden_equivalence.py
 
+One pinned trace cell is also rerun with the kernel's slab recycling
+disabled (the fallback off CPython), which must not change a byte.
+
 The module also stress-tests :class:`~repro.sim.queue.EventQueue`
 against a naive reference implementation under a randomized
 push/cancel/pop/pop_due/clear mix, checking heap order and the
@@ -155,23 +158,27 @@ def _record_lines() -> List[str]:
     return lines
 
 
+def _trace_session(topology_name: str, timing_name: str) -> PaymentSession:
+    """One pinned trace cell, run to completion."""
+    topology = build_topology(topology_name, payment_id=f"golden-{topology_name}")
+    session = PaymentSession(
+        topology,
+        "timebounded",
+        build_timing(timing_descriptor(timing_name)),
+        seed=11,
+        rho=0.01,
+        horizon=50_000.0,
+        protocol_options={"delta": 1.0, "epsilon": 0.05},
+    )
+    session.run()
+    return session
+
+
 def _trace_document() -> str:
     """Canonical JSON of the full traces for the pinned cells."""
     traces = {}
     for topology_name, timing_name in TRACE_CELLS:
-        topology = build_topology(
-            topology_name, payment_id=f"golden-{topology_name}"
-        )
-        session = PaymentSession(
-            topology,
-            "timebounded",
-            build_timing(timing_descriptor(timing_name)),
-            seed=11,
-            rho=0.01,
-            horizon=50_000.0,
-            protocol_options={"delta": 1.0, "epsilon": 0.05},
-        )
-        session.run()
+        session = _trace_session(topology_name, timing_name)
         traces[f"{topology_name}/{timing_name}"] = (
             session.env.sim.trace.to_dicts()
         )
@@ -284,6 +291,28 @@ def test_one_payment_workload_equals_campaign_trial():
 def test_traces_byte_identical_to_fixture():
     fixture = TRACES_FIXTURE.read_text(encoding="utf-8")
     assert _trace_document_hermetic() == fixture
+
+
+def test_traces_identical_without_slab_recycling(monkeypatch):
+    """Off CPython the kernel's refcount probe reports 0: no event is
+    recycled, and the pinned trace stays byte-identical."""
+    import itertools
+
+    from repro.net import message
+    from repro.sim import kernel
+
+    # Premise: on this interpreter the slab does recycle events.
+    assert _trace_session("linear-3", "sync").env.sim._queue._free
+    monkeypatch.setattr(kernel, "_getrefcount", lambda obj: 0)
+    # The first pinned cell starts from a fresh msg-id counter, as in
+    # the hermetic fixture run.
+    monkeypatch.setattr(message, "_MSG_SEQ", itertools.count())
+    session = _trace_session("linear-3", "sync")
+    assert session.env.sim._queue._free == []
+    fixture = json.loads(TRACES_FIXTURE.read_text(encoding="utf-8"))
+    assert json.dumps(session.env.sim.trace.to_dicts(), sort_keys=True) == (
+        json.dumps(fixture["linear-3/sync"], sort_keys=True)
+    )
 
 
 # -- EventQueue stress test ----------------------------------------------

@@ -28,10 +28,11 @@ import json
 
 import pytest
 
+from repro.analysis import RecordStore, analyze_store
 from repro.core.session import PaymentSession
 from repro.errors import ExperimentError, InsufficientFunds, WorkloadError
 from repro.net.timing import Synchronous
-from repro.runtime import SerialExecutor, resolve_executor
+from repro.runtime import SerialExecutor, load_sweep_result, resolve_executor
 from repro.runtime.persist import record_to_dict
 from repro.runtime.spec import derive_seed
 from repro.scenarios.registry import make_adversary
@@ -48,6 +49,7 @@ from repro.workload import (
     sample_topologies,
     workload_payment,
 )
+from repro.workload.cli import _cell_stats, workload_main
 
 PROTOCOLS = ("timebounded", "htlc", "weak", "certified")
 
@@ -404,3 +406,33 @@ def test_liquidity_failure_rate_is_monotone_in_load():
         rates.append(summary["liquidity_failure_rate"])
     assert rates == sorted(rates), rates
     assert rates[-1] > 0.0, "top load must actually contend"
+
+
+# -- one percentile definition ----------------------------------------------
+
+
+def test_workload_table_percentiles_equal_analyze(tmp_path, capsys):
+    """The workload table's p50/p95 are analyze's p50/p95_latency over
+    launched payments, exactly, cell by cell."""
+    out = tmp_path / "wl"
+    assert workload_main([
+        "--protocols", "htlc,weak", "--loads", "0.02,1.0",
+        "--payments", "20", "--liquidity", "250", "--out", str(out),
+    ]) == 0
+    capsys.readouterr()
+    cells = {}
+    for record in load_sweep_result(out):
+        cells.setdefault(tuple(record.spec.coords[:2]), []).append(record.values)
+    assert any(p["liquidity_failed"] for ps in cells.values() for p in ps)
+    table = analyze_store(
+        RecordStore.load(out),
+        where={"liquidity_failed": "False"},
+        group_by=["protocol", "load"],
+        metrics=["p50_latency", "p95_latency"],
+    )
+    assert len(table.rows) == len(cells)
+    for row in table.rows:
+        stats = _cell_stats(cells[(row["protocol"], row["load"])])
+        assert (stats["p50"], stats["p95"]) == (
+            row["p50_latency"], row["p95_latency"]
+        )

@@ -9,10 +9,9 @@ registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
 both, and README.md documents the incremental-campaign flag
-(``--resume``) plus every ``tools/bench.py`` flag (the perf harness's
-real interface, via its ``cli_flags()``).  This script fails (exit 1)
-when any registered axis name, analysis metric, or CLI flag is
-missing from the document that promises it, naming each gap.
+(``--resume``) and every ``repro workload`` flag.  This script fails
+(exit 1) when any registered axis name, analysis metric, or CLI flag
+is missing from the document that promises it, naming each gap.
 
 Run from the repository root (CI does)::
 
@@ -39,11 +38,6 @@ ANALYSIS_DOCUMENT = "docs/ANALYSIS.md"
 #: Documents that must mention every incremental-campaign flag.
 RESUME_FLAGS = ("--resume",)
 RESUME_DOCUMENTS = ("README.md", "docs/ANALYSIS.md")
-
-#: Document that must mention every tools/bench.py flag (plus the
-#: campaign chunksize knob that tunes what the bench measures).
-BENCH_DOCUMENT = "README.md"
-BENCH_EXTRA_FLAGS = ("--chunksize",)
 
 #: Document that must mention every `repro workload` flag: the
 #: concurrent-workload CLI is its own README section, and its flag set
@@ -158,23 +152,6 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                 problems.append(
                     f"{WORKLOAD_DOCUMENT}: workload flag `{flag}` not documented"
                 )
-
-    # The perf harness: every tools/bench.py flag must be documented
-    # (backticked, bare or usage-style) in the README's performance
-    # section, from the same parser that --help renders.
-    sys.path.insert(0, str(root / "tools"))
-    try:
-        from bench import cli_flags as bench_cli_flags
-    finally:
-        sys.path.pop(0)
-    bench_texts = _read_documents(root, (BENCH_DOCUMENT,), problems)
-    bench_text = bench_texts.get(BENCH_DOCUMENT, "")
-    if bench_text:
-        for flag in tuple(bench_cli_flags()) + BENCH_EXTRA_FLAGS:
-            if f"`{flag}`" not in bench_text and f"`{flag} " not in bench_text:
-                problems.append(
-                    f"{BENCH_DOCUMENT}: bench flag `{flag}` not documented"
-                )
     return problems
 
 
@@ -187,7 +164,7 @@ def main() -> int:
             f"docs-consistency: {len(problems)} problem(s); update "
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
-            "repro/analysis/cli.py, and tools/bench.py",
+            "repro/analysis/cli.py, and repro/workload/cli.py",
             file=sys.stderr,
         )
         return 1
