@@ -27,6 +27,7 @@ import argparse
 from typing import Dict, List, Optional
 
 from ..errors import PersistenceError, ScenarioError
+from ..runtime.frontend import csv_list, long_flags, write_table
 from .query import (
     DEFAULT_GROUP_BY,
     DEFAULT_METRICS,
@@ -38,16 +39,11 @@ from .render import RENDERERS, render
 from .store import RecordStore
 
 
-def _csv_list(value: str) -> List[str]:
-    """Split a comma-separated list, dropping empty entries."""
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
 def _parse_where(clauses: List[str]) -> Dict[str, str]:
     """``key=value`` pairs (repeatable, comma-splittable) to a dict."""
     parsed: Dict[str, str] = {}
     for clause in clauses:
-        for pair in _csv_list(clause):
+        for pair in csv_list(clause):
             key, eq, value = pair.partition("=")
             if not eq or not key.strip() or not value.strip():
                 raise ScenarioError(
@@ -99,7 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--group-by",
-        type=_csv_list,
+        type=csv_list,
         default=None,
         metavar="C1,C2",
         help=(
@@ -120,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--metrics",
-        type=_csv_list,
+        type=csv_list,
         default=None,
         metavar="M1,M2",
         help="aggregations per group, in column order (see epilog below)",
@@ -166,12 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def cli_flags() -> List[str]:
     """Every long option of the analyze parser (for docs checking)."""
-    flags: List[str] = []
-    for action in build_parser()._actions:
-        flags.extend(
-            opt for opt in action.option_strings if opt.startswith("--")
-        )
-    return [f for f in flags if f != "--help"]
+    return long_flags(build_parser())
 
 
 def analyze_main(argv: Optional[List[str]] = None) -> int:
@@ -212,9 +203,7 @@ def analyze_main(argv: Optional[List[str]] = None) -> int:
         else:
             print(f"({len(store)} records from {args.directory})")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(report + "\n")
-        print(f"wrote {args.output}")
+        write_table(report, args.output)
     return 0
 
 

@@ -27,32 +27,32 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from importlib import import_module
 from typing import List, Optional
 
 from .experiments import EXPERIMENTS, experiment_doc, render_table
-from .runtime import default_jobs, resolve_executor
+from .runtime import resolve_executor
+from .runtime.frontend import resolve_jobs
+
+#: Subcommand -> entry point, imported only when invoked.
+SUBCOMMANDS = {
+    # Scenario-matrix campaigns.
+    "campaign": "repro.scenarios.cli:campaign_main",
+    # Post-hoc analytics over a persisted --out directory.
+    "analyze": "repro.analysis.cli:analyze_main",
+    # Concurrent multi-payment workloads on a shared liquidity substrate.
+    "workload": "repro.workload.cli:workload_main",
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "campaign":
-        # The scenario-matrix subcommand keeps its own flag set; the
-        # plain invocation stays positional for backward compatibility.
-        from .scenarios.cli import campaign_main
-
-        return campaign_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # Post-hoc analytics over a persisted --out directory.
-        from .analysis.cli import analyze_main
-
-        return analyze_main(argv[1:])
-    if argv and argv[0] == "workload":
-        # Concurrent multi-payment workloads on a shared liquidity
-        # substrate (see repro.workload.cli).
-        from .workload.cli import workload_main
-
-        return workload_main(argv[1:])
+    if argv and argv[0] in SUBCOMMANDS:
+        # Subcommands keep their own flag sets; the plain invocation
+        # stays positional for backward compatibility.
+        module, _, name = SUBCOMMANDS[argv[0]].partition(":")
+        return getattr(import_module(module), name)(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro-experiments",
         description=(
@@ -99,9 +99,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"{exp_id}: {experiment_doc(exp_id)}")
         return 0
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
+    jobs = resolve_jobs(parser, args.jobs)
 
     selected = [e.upper() for e in args.experiments] or sorted(EXPERIMENTS)
     unknown = [e for e in selected if e not in EXPERIMENTS]

@@ -75,11 +75,11 @@ def aggregate_campaign(
     This is the recovery path for a persisted campaign too expensive
     to re-run (``--from DIR --skip-errors``).
 
-    ``skipped`` carries the (protocol, topology, reason) combinations
-    the campaign never compiled
-    (:meth:`~repro.scenarios.spec.CampaignSpec.unsupported_cells`);
-    each renders as a table note, so a matrix mixing path-only
-    protocols with DAG topologies says which cells are absent and why.
+    ``skipped`` carries the (protocol, topology-or-adversary, reason)
+    combinations the campaign never compiled
+    (:meth:`~repro.scenarios.spec.CampaignSpec.skipped_cells`); each
+    renders as a table note, so a matrix mixing path-only protocols
+    with DAG topologies says which cells are absent and why.
     """
     result = ExperimentResult(
         exp_id=sweep.sweep_id.upper(),
@@ -191,10 +191,7 @@ def run_campaign(
     """Compile, execute, and aggregate a campaign in one call."""
     return aggregate_campaign(
         resolve_executor(executor).run(campaign.compile()),
-        skipped=(
-            campaign.unsupported_cells()
-            + campaign.unsupported_adversary_cells()
-        ),
+        skipped=campaign.skipped_cells(),
     )
 
 

@@ -33,22 +33,32 @@ the same JSONL with the existing bytes untouched and the manifest's
 ``revision`` bumped.  Grow a matrix axis-by-axis across invocations;
 an interrupted run resumes from its last complete record.  Slice the
 result with ``python -m repro analyze DIR``.
+
+The execution and persistence flags, and their wiring to the executor
+and the record writer, are the shared sweep front-end
+(:mod:`repro.runtime.frontend`); this module adds the matrix axes,
+``--from`` and the campaign table.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import time
-from typing import Any, Dict, List, Optional, Tuple
+from typing import List, Optional
 
 from ..errors import PersistenceError, ScenarioError
-from ..runtime import (
-    RecordWriter,
-    TrialError,
-    default_jobs,
-    resolve_executor,
-    scan_records,
+from ..runtime import ScanResult, SweepSpec, TrialError
+from ..runtime.frontend import (
+    Resume,
+    add_sweep_flags,
+    check_sweep_args,
+    collect_overrides,
+    csv_floats,
+    csv_list,
+    execute,
+    given_run_flags,
+    long_flags,
+    report,
+    write_table,
 )
 from .campaign import (
     aggregate_campaign,
@@ -60,50 +70,17 @@ from .campaign import (
 from .registry import available_protocols, axis_descriptions
 from .spec import CampaignSpec
 
-
-def _csv(value: str) -> List[str]:
-    """Split a comma-separated axis list, dropping empty entries."""
-    return [item.strip() for item in value.split(",") if item.strip()]
-
-
-def _csv_floats(value: str) -> List[float]:
-    """A comma-separated list of floats (``0.0,0.1``)."""
-    try:
-        return [float(item) for item in _csv(value)]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated numbers, got {value!r}"
-        ) from None
-
-
-def _parse_set(value: str) -> Tuple[str, str, Any]:
-    """Parse one ``--set protocol.option=value`` assignment.
-
-    The value is read as JSON when possible (``30`` → int, ``true`` →
-    bool, ``[1,2]`` → list) and kept as a string otherwise, so option
-    types round-trip through the persisted records unchanged.
-    """
-    assignment, sep, raw = value.partition("=")
-    target, dot, option = assignment.partition(".")
-    if not sep or not dot or not target or not option:
-        raise argparse.ArgumentTypeError(
-            f"expected protocol.option=value, got {value!r}"
-        )
-    try:
-        parsed: Any = json.loads(raw)
-    except json.JSONDecodeError:
-        parsed = raw
-    return target, option, parsed
-
-
-def _collect_overrides(
-    assignments: Optional[List[Tuple[str, str, Any]]]
-) -> Dict[str, Dict[str, Any]]:
-    """Fold repeated ``--set`` flags into {protocol: {option: value}}."""
-    overrides: Dict[str, Dict[str, Any]] = {}
-    for protocol, option, value in assignments or []:
-        overrides.setdefault(protocol, {})[option] = value
-    return overrides
+#: (flag, namespace attribute) of the matrix axes, which ``--from``
+#: rejects alongside the shared run flags.
+MATRIX_FLAGS = (
+    ("--protocols", "protocols"),
+    ("--timing", "timings"),
+    ("--adversaries", "adversaries"),
+    ("--topologies", "topologies"),
+    ("--trials", "trials"),
+    ("--rho", "rho"),
+    ("--horizon", "horizon"),
+)
 
 
 def _trial_error_hint(skip_errors: bool, out_dir: Optional[str]) -> str:
@@ -118,18 +95,6 @@ def _trial_error_hint(skip_errors: bool, out_dir: Optional[str]) -> str:
     return hint
 
 
-def _write_table(table: str, path: str) -> None:
-    """Write the rendered table to ``path``.
-
-    The single writer both the live and ``--from`` branches use — the
-    documented byte-match between their ``--output`` artifacts hangs
-    on this staying one code path.
-    """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(table + "\n")
-    print(f"wrote {path}")
-
-
 def _print_axes() -> None:
     """One block per axis, names with their registry descriptions."""
     for axis, entries in axis_descriptions().items():
@@ -140,19 +105,25 @@ def _print_axes() -> None:
     print("(topology patterns resolve for any N >= 1, e.g. linear-7)")
 
 
-def campaign_main(argv: Optional[List[str]] = None) -> int:
+def _plan_resume(sweep: SweepSpec, scan: ScanResult) -> Resume:
+    """Run the cells ``DIR`` lacks; every persisted record stays."""
+    diff = diff_campaign(sweep, scan.records)
+    return Resume(missing=diff.missing, keep=scan, reused=len(scan.records))
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="repro-experiments campaign",
+        prog="repro campaign",
         description="Run a protocol x timing x adversary x topology matrix.",
     )
     # Matrix flags keep None as their parse-time default so an
     # explicitly passed value — under any argparse spelling, including
     # prefix abbreviations and -j4 — is distinguishable from "not
-    # given"; the real defaults are filled in below, after the --from
+    # given"; the real defaults are filled in after the --from
     # conflict check.
     parser.add_argument(
         "--protocols",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="P1,P2",
         help=f"protocol axis (default: {','.join(available_protocols())})",
@@ -161,21 +132,21 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         "--timing",
         "--timings",
         dest="timings",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="T1,T2",
         help="timing-model axis (default: sync,partial,async)",
     )
     parser.add_argument(
         "--adversaries",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="A1,A2",
         help="adversary axis (default: none)",
     )
     parser.add_argument(
         "--topologies",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="G1,G2",
         help="topology axis (default: linear-3)",
@@ -185,10 +156,7 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         help="Monte-Carlo repetitions per matrix cell (default: 3)",
     )
     parser.add_argument(
-        "--seed", type=int, default=None, help="master seed (default: 0)"
-    )
-    parser.add_argument(
-        "--rho", type=_csv_floats, default=None, metavar="R1,R2",
+        "--rho", type=csv_floats, default=None, metavar="R1,R2",
         help=(
             "clock-drift axis: one or more bounds (e.g. 0.0,0.1); the "
             "values enter the cell coordinates, so drift sweeps like "
@@ -196,68 +164,18 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--horizon", type=_csv_floats, default=None, metavar="H1,H2",
+        "--horizon", type=csv_floats, default=None, metavar="H1,H2",
         help=(
             "horizon axis: one or more global-time backstops (e.g. "
             "50,100); values enter the cell coordinates (default: "
             "per-protocol campaign defaults)"
         ),
     )
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        type=_parse_set,
-        action="append",
-        default=None,
-        metavar="PROTO.OPT=VAL",
-        help=(
-            "per-cell protocol-option override, repeatable (e.g. --set "
-            "weak.patience_setup=30); recorded in every affected "
-            "trial's options and in the manifest, so --resume's "
-            "option-mismatch check covers it"
-        ),
-    )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes (default: $REPRO_JOBS or 1; the table is "
-            "byte-identical whatever N)"
-        ),
-    )
-    parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        metavar="C",
-        help=(
-            "trials per worker batch for parallel runs (default: "
-            "$REPRO_CHUNKSIZE, else ~4 batches per worker); the chosen "
-            "value is recorded in the --out manifest; ignored when "
-            "running serially"
-        ),
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help=(
-            "stream per-trial records to DIR (records.jsonl + records.csv "
-            "+ manifest.json), reloadable with --from"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "with --out DIR: diff the requested matrix against the "
-            "records already in DIR, run only the missing cells, and "
-            "append them (existing records stay byte-identical; also "
-            "repairs an interrupted --out run)"
-        ),
+    add_sweep_flags(
+        parser,
+        unit="trials",
+        record="trial",
+        resume_rule="run only the requested cells DIR lacks and append them",
     )
     parser.add_argument(
         "--from",
@@ -266,8 +184,8 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         default=None,
         help=(
             "reaggregate a --out directory instead of running trials "
-            "(matrix flags conflict and are rejected; the table is "
-            "byte-identical to the original run's)"
+            "(matrix and run flags conflict and are rejected; the table "
+            "is byte-identical to the original run's)"
         ),
     )
     parser.add_argument(
@@ -280,74 +198,60 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         ),
     )
     parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the rendered table to FILE",
-    )
-    parser.add_argument(
         "--list-axes",
         action="store_true",
         help="list registered axis values with descriptions and exit",
     )
+    return parser
+
+
+def cli_flags() -> List[str]:
+    """Every long flag ``repro campaign`` accepts."""
+    return long_flags(build_parser())
+
+
+def _reaggregate(parser: argparse.ArgumentParser, args: argparse.Namespace) -> int:
+    """``--from DIR``: re-render a persisted campaign, running nothing."""
+    # Silently ignoring --trials/--protocols/... here would let a stale
+    # table masquerade as the re-run the flags asked for.  Checked on
+    # the parsed namespace, so every argparse spelling (abbreviations,
+    # -j4, --flag=value) is caught.
+    conflicting = [
+        flag for flag, attr in MATRIX_FLAGS if getattr(args, attr) is not None
+    ] + given_run_flags(args)
+    if conflicting:
+        parser.error(
+            "--from reaggregates existing records and runs no "
+            f"trials; drop {', '.join(conflicting)}"
+        )
+    try:
+        result = load_campaign(args.from_dir, skip_errors=args.skip_errors)
+    except TrialError as exc:
+        # The persisted run had failed trials — loadable, but not
+        # aggregatable without dropping them (and with nothing left to
+        # drop to, not aggregatable at all).
+        parser.error(f"{exc}\n({_trial_error_hint(args.skip_errors, None)})")
+    except (PersistenceError, ScenarioError) as exc:
+        parser.error(str(exc))
+    table = render_table(result)
+    print(table)
+    print(f"(reaggregated {args.from_dir}, no trials re-run)")
+    if args.output:
+        write_table(table, args.output)
+    return 0
+
+
+def campaign_main(argv: Optional[List[str]] = None) -> int:
+    parser = build_parser()
     args = parser.parse_args(argv)
 
     if args.list_axes:
         _print_axes()
         return 0
-
     if args.from_dir is not None:
-        # Silently ignoring --trials/--protocols/... here would let a
-        # stale table masquerade as the re-run the flags asked for.
-        # Checked on the parsed namespace, so every argparse spelling
-        # (abbreviations, -j4, --flag=value) is caught.
-        conflicting = [
-            flag
-            for flag, value in (
-                ("--protocols", args.protocols),
-                ("--timing", args.timings),
-                ("--adversaries", args.adversaries),
-                ("--topologies", args.topologies),
-                ("--trials", args.trials),
-                ("--seed", args.seed),
-                ("--rho", args.rho),
-                ("--horizon", args.horizon),
-                ("--set", args.overrides),
-                ("--jobs", args.jobs),
-                ("--chunksize", args.chunksize),
-                ("--out", args.out),
-                ("--resume", args.resume or None),
-            )
-            if value is not None
-        ]
-        if conflicting:
-            parser.error(
-                "--from reaggregates existing records and runs no "
-                f"trials; drop {', '.join(conflicting)}"
-            )
-        try:
-            result = load_campaign(args.from_dir, skip_errors=args.skip_errors)
-        except TrialError as exc:
-            # The persisted run had failed trials — loadable, but not
-            # aggregatable without dropping them (and with nothing
-            # left to drop to, not aggregatable at all).
-            parser.error(
-                f"{exc}\n({_trial_error_hint(args.skip_errors, None)})"
-            )
-        except (PersistenceError, ScenarioError) as exc:
-            parser.error(str(exc))
-        table = render_table(result)
-        print(table)
-        print(f"(reaggregated {args.from_dir}, no trials re-run)")
-        if args.output:
-            _write_table(table, args.output)
-        return 0
+        return _reaggregate(parser, args)
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
-    if args.chunksize is not None and args.chunksize < 1:
-        parser.error(f"--chunksize must be >= 1, got {args.chunksize}")
+    jobs = check_sweep_args(parser, args, "matrix")
     # Only protocols/timings have CLI-level defaults; every other
     # matrix default lives once, on the CampaignSpec dataclass —
     # omitted flags simply aren't passed.
@@ -368,101 +272,37 @@ def campaign_main(argv: Optional[List[str]] = None) -> int:
         matrix["rhos"] = args.rho
     if args.horizon is not None:
         matrix["horizons"] = args.horizon
-    overrides = _collect_overrides(args.overrides)
+    overrides = collect_overrides(args.overrides)
     if overrides:
         matrix["overrides"] = overrides
-    if args.resume and not args.out:
-        parser.error("--resume grows a persisted matrix and needs --out DIR")
-
     try:
         campaign = CampaignSpec(**matrix)
         sweep = campaign.compile()
     except ScenarioError as exc:
         parser.error(str(exc))
 
-    # --resume: diff the compiled matrix against what DIR already
-    # holds; only the missing cells run, everything persisted is
-    # reused (and kept byte-identical on disk).
-    scan = None
-    if args.resume:
-        try:
-            scan = scan_records(args.out)
-            diff = diff_campaign(sweep, scan.records)
-        except (PersistenceError, ScenarioError) as exc:
-            parser.error(str(exc))
-        to_run = diff.missing
-    else:
-        to_run = sweep
-
-    t0 = time.perf_counter()
-    with resolve_executor(jobs=jobs, chunksize=args.chunksize) as executor:
-        if args.out:
-            try:
-                writer = RecordWriter(
-                    args.out, sweep_id=sweep.sweep_id, resume_from=scan
-                )
-            except OSError as exc:
-                parser.error(f"cannot write records to {args.out}: {exc}")
-            except PersistenceError as exc:
-                parser.error(str(exc))
-            # Stream records to disk as the executor yields them; the
-            # writer holds at most the error rows seen before the
-            # first success (see RecordWriter), never the campaign.
-            with writer:
-                sweep_result = executor.run(to_run, sink=writer.write)
-                extra = {}
-                if overrides:
-                    extra["option_overrides"] = overrides
-                # The chunksize the pool actually used (None for
-                # serial or single-trial runs): part of the run's
-                # provenance, like jobs.
-                chunksize = getattr(executor, "last_chunksize", None)
-                if chunksize is not None:
-                    extra["chunksize"] = chunksize
-                writer.close(
-                    wall_seconds=sweep_result.wall_seconds,
-                    jobs=jobs,
-                    extra=extra or None,
-                )
-        else:
-            sweep_result = executor.run(to_run)
-    if scan is not None:
+    run = execute(parser, args, sweep, jobs, plan=_plan_resume)
+    sweep_result = run.result
+    if run.resume is not None:
         # Aggregate exactly what the directory now holds: persisted
         # records first (their on-disk order), new ones appended.
         sweep_result = merge_resumed(
-            scan.records, sweep_result, sweep.sweep_id, jobs=jobs
+            run.resume.keep.records, sweep_result, sweep.sweep_id, jobs=jobs
         )
     try:
         result = aggregate_campaign(
             sweep_result,
             skip_errors=args.skip_errors,
-            skipped=campaign.unsupported_cells(),
+            skipped=campaign.skipped_cells(),
         )
     except TrialError as exc:
-        parser.error(
-            f"{exc}\n({_trial_error_hint(args.skip_errors, args.out)})"
-        )
-    elapsed = time.perf_counter() - t0
-    table = render_table(result)
-    if scan is not None:
-        footer = (
-            f"({len(to_run)} new trials run, {len(scan.records)} reused "
-            f"from {args.out}, in {elapsed:.1f}s, jobs={jobs})"
-        )
-    else:
-        footer = (
-            f"({len(sweep)} trials over {len(sweep) // campaign.trials} "
-            f"cells in {elapsed:.1f}s, jobs={jobs})"
-        )
-    print(table)
-    print(footer)
-    if args.out:
-        print(f"wrote {writer.count} records to {args.out}")
-    if args.output:
-        # Only the table: the artifact stays byte-identical across
-        # --jobs values (the footer's wall clock and job count do not).
-        _write_table(table, args.output)
+        parser.error(f"{exc}\n({_trial_error_hint(args.skip_errors, args.out)})")
+    cells = len(sweep) // campaign.trials
+    report(
+        args, render_table(result), run, "trials",
+        f"{len(sweep)} trials over {cells} cells",
+    )
     return 0
 
 
-__all__ = ["campaign_main"]
+__all__ = ["build_parser", "campaign_main", "cli_flags"]

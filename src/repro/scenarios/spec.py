@@ -314,6 +314,12 @@ class CampaignSpec:
             for protocol, adversary, _ in self.unsupported_adversary_cells()
         }
 
+    def skipped_cells(self) -> List[Tuple[str, str, str]]:
+        """Every (protocol, topology-or-adversary, reason) the campaign
+        skips: the table notes
+        :func:`~repro.scenarios.campaign.aggregate_campaign` renders."""
+        return self.unsupported_cells() + self.unsupported_adversary_cells()
+
     def __len__(self) -> int:
         """Total trial count across all compiled (non-skipped) cells."""
         skipped_topo = self._skipped_pairs()
@@ -351,11 +357,7 @@ class CampaignSpec:
         skipped_adversaries = self._skipped_adversary_pairs()
         if len(self) == 0:
             reasons = "; ".join(
-                reason
-                for _, _, reason in (
-                    self.unsupported_cells()
-                    + self.unsupported_adversary_cells()
-                )
+                reason for _, _, reason in self.skipped_cells()
             )
             raise ScenarioError(
                 f"every protocol x topology combination is unsupported, "

@@ -9,7 +9,10 @@ spec, runs the payment, and returns the outcome / latency / abort
 columns the campaign table aggregates, plus the Definition 1/2
 property columns computed by the shared checker
 (:mod:`repro.verification.properties`) — so campaign tables report not
-just *what happened* but *whether the paper's guarantees held*.
+just *what happened* but *whether the paper's guarantees held*.  The
+columns come from :func:`payment_values`, which the workload runner
+uses for each of its concurrent payments too, so a campaign record and
+a workload payment record are built by one function.
 
 Assembly is memoized per worker process: campaigns run the same few
 cells thousands of times, so the topology (validated + derived tables),
@@ -31,7 +34,10 @@ from __future__ import annotations
 
 from typing import Any, Dict, Optional, Tuple
 
+from ..net.adversary import CrashRestartAdversary
 from ..runtime.spec import TrialSpec
+from ..sim.faults import FaultInjector
+from ..verification import properties
 
 #: topology name -> validated template graph with warmed derived tables.
 _TOPOLOGY_TEMPLATES: Dict[str, Any] = {}
@@ -104,13 +110,103 @@ def _adversary_for(name: str, topology: Any, topology_name: str) -> Any:
     return adversary
 
 
+def fault_injector(adversary: Any) -> Any:
+    """The live fault injector a crash-restart adversary plans, else ``None``.
+
+    The adversary is a fault *plan*; the injector is stateful
+    (crash/recovery timestamps) and therefore built fresh per payment.
+    """
+    if not isinstance(adversary, CrashRestartAdversary):
+        return None
+    return FaultInjector(adversary.victim, adversary.point, adversary.downtime)
+
+
+def payment_values(
+    outcome: Any,
+    topology: Any,
+    *,
+    protocol: str,
+    timing: Any,
+    protocol_options: Any,
+    latency: float,
+    events: int,
+    faults: Any = None,
+) -> Dict[str, Any]:
+    """The record columns of one finished payment.
+
+    The single builder behind campaign trial records and workload
+    per-payment records (which append ``arrival_time`` and
+    ``liquidity_failed``), so the two can only differ in the
+    ``latency`` and ``events`` their caller measures: a solo trial's
+    run end and event count, or a concurrent payment's own span and
+    the kernel events executed during it.
+    """
+    decisions = outcome.decision_kinds_issued()
+    values = {
+        "bob_paid": outcome.bob_paid,
+        "chi_issued": outcome.chi_issued(),
+        "committed": "commit" in decisions,
+        "aborted": "abort" in decisions,
+        "all_terminated": outcome.all_participants_terminated(),
+        "ledgers_ok": all(outcome.ledger_audits.values()),
+        "latency": latency,
+        "messages": outcome.messages_sent,
+        "events": events,
+        # Shape columns: recipient count and longest source-to-sink hop
+        # count, so persisted records slice by topology *shape* (a
+        # tree-2 cell reports leaves=4, depth=2; every linear-N cell
+        # reports leaves=1, depth=N).
+        "leaves": topology.leaves,
+        "depth": topology.depth,
+    }
+    if faults is not None:
+        # Recovery columns appear only on crash-restart cells, so every
+        # other record stays byte-identical.
+        values["crashed"] = faults.crashed_at is not None
+        values["crash_point"] = faults.point
+        values["crash_downtime"] = faults.downtime
+        values["recovered_at"] = faults.recovered_at
+    values.update(
+        properties.property_columns(
+            outcome,
+            protocol=protocol,
+            timing=timing,
+            protocol_options=protocol_options,
+        )
+    )
+    return values
+
+
+def refused_payment_values(topology: Any, protocol: str) -> Dict[str, Any]:
+    """The :func:`payment_values` columns of a payment that never launched.
+
+    Nothing moved and nothing was put at risk: no payment, no decision,
+    zero latency and traffic, clean ledgers, and ``None`` definition
+    verdicts (the checkers never ran).
+    """
+    return {
+        "bob_paid": False,
+        "chi_issued": False,
+        "committed": False,
+        "aborted": False,
+        "all_terminated": True,
+        "ledgers_ok": True,
+        "latency": 0.0,
+        "messages": 0,
+        "events": 0,
+        "leaves": topology.leaves,
+        "depth": topology.depth,
+        "definition": properties.definition_profile(protocol).definition,
+        "def1_ok": None,
+        "def2_ok": None,
+        "violated_properties": [],
+    }
+
+
 def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
     """Run one scenario trial; pure function of its spec."""
     from ..core.session import PaymentSession, SessionArena
-    from ..net.adversary import CrashRestartAdversary
-    from ..sim.faults import FaultInjector
     from ..sim.trace import CHECKER_KINDS
-    from ..verification.properties import property_columns
 
     payment_id = "-".join(str(c) for c in spec.coords) or "campaign"
     topology_name = spec.opt("topology")
@@ -122,14 +218,7 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
         None if spec.opt("trace_level", None) == "full" else CHECKER_KINDS
     )
     adversary = _adversary_for(spec.opt("adversary"), topology, topology_name)
-    # A crash-restart adversary is a fault *plan*; the live injector is
-    # stateful (crash/recovery timestamps) and therefore built fresh
-    # per trial rather than cached.
-    injector = None
-    if isinstance(adversary, CrashRestartAdversary):
-        injector = FaultInjector(
-            adversary.victim, adversary.point, adversary.downtime
-        )
+    injector = fault_injector(adversary)
     protocol_name = spec.opt("protocol")
     arena_key = (protocol_name, topology_name)
     arena = _ARENAS.get(arena_key)
@@ -149,42 +238,23 @@ def scenario_trial(spec: TrialSpec) -> Dict[str, Any]:
         arena=arena,
     )
     outcome = session.run()
-    decisions = outcome.decision_kinds_issued()
-    record = {
-        "bob_paid": outcome.bob_paid,
-        "chi_issued": outcome.chi_issued(),
-        "committed": "commit" in decisions,
-        "aborted": "abort" in decisions,
-        "all_terminated": outcome.all_participants_terminated(),
-        "ledgers_ok": all(outcome.ledger_audits.values()),
-        # With the horizon-binding clock fix, end_time is the horizon
-        # itself when the run never settles — an honest latency.
-        "latency": outcome.end_time,
-        "messages": outcome.messages_sent,
-        "events": outcome.events_executed,
-        # Shape columns: recipient count and longest source-to-sink hop
-        # count, so persisted records slice by topology *shape* (a
-        # tree-2 cell reports leaves=4, depth=2; every linear-N cell
-        # reports leaves=1, depth=N).
-        "leaves": topology.leaves,
-        "depth": topology.depth,
-    }
-    if injector is not None:
-        # Recovery columns appear only on crash-restart cells, so every
-        # pre-existing campaign record stays byte-identical.
-        record["crashed"] = injector.crashed_at is not None
-        record["crash_point"] = injector.point
-        record["crash_downtime"] = injector.downtime
-        record["recovered_at"] = injector.recovered_at
-    record.update(
-        property_columns(
-            outcome,
-            protocol=spec.opt("protocol"),
-            timing=spec.opt("timing"),
-            protocol_options=spec.opt("protocol_options"),
-        )
+    # With the horizon-binding clock fix, end_time is the horizon
+    # itself when the run never settles — an honest latency.
+    return payment_values(
+        outcome,
+        topology,
+        protocol=protocol_name,
+        timing=spec.opt("timing"),
+        protocol_options=spec.opt("protocol_options"),
+        latency=outcome.end_time,
+        events=outcome.events_executed,
+        faults=injector,
     )
-    return record
 
 
-__all__ = ["scenario_trial"]
+__all__ = [
+    "fault_injector",
+    "payment_values",
+    "refused_payment_values",
+    "scenario_trial",
+]

@@ -27,29 +27,37 @@ repairing an interrupted run both work the campaign way.
 ``--assert-monotone`` exits non-zero unless, for every protocol, the
 liquidity-failure rate is non-decreasing in offered load — the
 substrate's sanity property CI pins.
+
+The execution and persistence flags, and their wiring to the executor
+and the record writer, are the shared sweep front-end
+(:mod:`repro.runtime.frontend`), the same as ``repro campaign``'s.
 """
 
 from __future__ import annotations
 
 import argparse
-import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..analysis.query import percentile
-from ..errors import PersistenceError, ScenarioError, WorkloadError
-from ..runtime import (
-    RecordWriter,
-    ScanResult,
-    default_jobs,
-    resolve_executor,
-    scan_records,
+from ..errors import ScenarioError, WorkloadError
+from ..runtime import ScanResult, SweepSpec, TrialRecord
+from ..runtime.frontend import (
+    Resume,
+    add_sweep_flags,
+    check_sweep_args,
+    collect_overrides,
+    csv_floats,
+    csv_list,
+    execute,
+    long_flags,
+    report,
 )
-from ..scenarios.cli import _collect_overrides, _csv, _csv_floats, _parse_set
 from .spec import (
     DEFAULT_COUNT,
     DEFAULT_LIQUIDITY,
     DEFAULT_LOADS,
     WorkloadSpec,
+    cell_fingerprints,
     diff_workload,
     expand_cell_record,
     parse_topology_mix,
@@ -132,14 +140,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--protocols",
-        type=_csv,
+        type=csv_list,
         default=None,
         metavar="P1,P2",
         help="protocol axis (default: timebounded,htlc,weak,certified)",
     )
     parser.add_argument(
         "--loads",
-        type=_csv_floats,
+        type=csv_floats,
         default=None,
         metavar="L1,L2",
         help=(
@@ -203,18 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="clock-drift bound for every payment (default: 0)",
     )
     parser.add_argument(
-        "--seed", type=int, default=0, help="master seed (default: 0)"
-    )
-    parser.add_argument(
-        "--set",
-        dest="overrides",
-        type=_parse_set,
-        action="append",
-        default=None,
-        metavar="PROTO.OPT=VAL",
-        help="per-protocol option override, repeatable (campaign syntax)",
-    )
-    parser.add_argument(
         "--audit",
         action="store_true",
         help=(
@@ -223,42 +219,11 @@ def build_parser() -> argparse.ArgumentParser:
             "ledger operation (slow; the invariant-harness mode)"
         ),
     )
-    parser.add_argument(
-        "--jobs",
-        "-j",
-        type=int,
-        default=None,
-        metavar="N",
-        help=(
-            "worker processes over cells (default: $REPRO_JOBS or 1; "
-            "records are byte-identical whatever N)"
-        ),
-    )
-    parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=None,
-        metavar="C",
-        help="cells per worker batch for parallel runs",
-    )
-    parser.add_argument(
-        "--out",
-        metavar="DIR",
-        default=None,
-        help=(
-            "stream one record per payment to DIR (records.jsonl + "
-            "records.csv + manifest.json), sliceable with "
-            "`python -m repro analyze DIR`"
-        ),
-    )
-    parser.add_argument(
-        "--resume",
-        action="store_true",
-        help=(
-            "with --out DIR: keep the longest prefix of whole matching "
-            "cells byte-identical and run only the rest (grows axes; "
-            "repairs interrupted runs)"
-        ),
+    add_sweep_flags(
+        parser,
+        unit="cells",
+        record="payment",
+        resume_rule="keep the longest prefix of whole matching cells and run the rest",
     )
     parser.add_argument(
         "--assert-monotone",
@@ -268,43 +233,44 @@ def build_parser() -> argparse.ArgumentParser:
             "monotone non-decreasing in offered load for every protocol"
         ),
     )
-    parser.add_argument(
-        "--output",
-        metavar="FILE",
-        default=None,
-        help="also write the rendered table to FILE",
-    )
     return parser
 
 
 def cli_flags() -> List[str]:
-    """Every long flag the parser accepts (for docs-consistency checks)."""
-    flags: List[str] = []
-    for action in build_parser()._actions:
-        flags.extend(
-            opt for opt in action.option_strings if opt.startswith("--")
-        )
-    return sorted(set(flags) - {"--help"})
+    """Every long flag ``repro workload`` accepts (for docs checks)."""
+    return long_flags(build_parser())
+
+
+def _plan_resume(sweep: SweepSpec, scan: ScanResult) -> Resume:
+    """Keep the longest whole-cell prefix of ``DIR``; re-run the rest."""
+    diff = diff_workload(sweep, scan.records, (scan.manifest or {}).get("cells"))
+    kept = ScanResult(
+        records=diff.kept, manifest=scan.manifest, jsonl_bytes=diff.kept_bytes
+    )
+    return Resume(missing=diff.missing, keep=kept, reused=diff.completed_cells)
+
+
+def _persisted_payments(cell_record: TrialRecord) -> List[TrialRecord]:
+    """A finished cell's per-payment records (a failed cell persists none)."""
+    return expand_cell_record(cell_record) if cell_record.ok else []
 
 
 def workload_main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    jobs = check_sweep_args(parser, args, "workload")
 
-    jobs = args.jobs if args.jobs is not None else default_jobs()
-    if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
-    if args.resume and not args.out:
-        parser.error("--resume grows a persisted workload and needs --out DIR")
-
+    # Omitted axes and seed fall back to the WorkloadSpec defaults.
+    given = {
+        field: value
+        for field, value in (
+            ("protocols", args.protocols), ("loads", args.loads), ("seed", args.seed)
+        )
+        if value is not None
+    }
     try:
         spec = WorkloadSpec(
-            protocols=tuple(
-                args.protocols
-                if args.protocols is not None
-                else ("timebounded", "htlc", "weak", "certified")
-            ),
-            loads=tuple(args.loads if args.loads is not None else DEFAULT_LOADS),
+            **given,
             count=args.payments,
             timing=args.timing,
             adversary=args.adversary,
@@ -313,94 +279,37 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
             liquidity=args.liquidity,
             horizon=args.horizon,
             rho=args.rho,
-            seed=args.seed,
-            overrides=_collect_overrides(args.overrides),
+            overrides=collect_overrides(args.overrides),
             audit="every-op" if args.audit else None,
         )
         sweep = spec.compile()
     except (WorkloadError, ScenarioError) as exc:
         parser.error(str(exc))
 
-    scan = None
-    diff = None
-    if args.resume:
-        try:
-            scan = scan_records(args.out)
-            diff = diff_workload(sweep, scan.records)
-        except PersistenceError as exc:
-            parser.error(str(exc))
-        to_run = diff.missing
-    else:
-        to_run = sweep
-
-    # Per-payment values per cell, keyed by cell coords, for the table.
-    cell_payments: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {}
-    if diff is not None:
-        for record in diff.kept:
-            cell_payments.setdefault(tuple(record.spec.coords[:-1]), []).append(
-                record.values
-            )
-
-    errors = []
-    unconserved = []
-
-    def absorb(cell_record) -> None:
-        """Fold one finished cell into the table (and flag problems)."""
-        if cell_record.error is not None:
-            errors.append(cell_record)
-            return
-        if not cell_record.values.get("conserved", False):
-            unconserved.append(cell_record.spec.coords)
-        cell_payments[tuple(cell_record.spec.coords)] = list(
-            cell_record.values["payments"]
-        )
-
-    t0 = time.perf_counter()
-    with resolve_executor(jobs=jobs, chunksize=args.chunksize) as executor:
-        if args.out:
-            trimmed = (
-                ScanResult(
-                    records=diff.kept,
-                    manifest=scan.manifest,
-                    jsonl_bytes=diff.kept_bytes,
-                )
-                if diff is not None
-                else None
-            )
-            try:
-                writer = RecordWriter(
-                    args.out, sweep_id=sweep.sweep_id, resume_from=trimmed
-                )
-            except OSError as exc:
-                parser.error(f"cannot write records to {args.out}: {exc}")
-            except PersistenceError as exc:
-                parser.error(str(exc))
-
-            def sink(cell_record) -> None:
-                absorb(cell_record)
-                if cell_record.error is None:
-                    for payment_record in expand_cell_record(cell_record):
-                        writer.write(payment_record)
-
-            with writer:
-                executor.run(to_run, sink=sink)
-                writer.close(
-                    wall_seconds=time.perf_counter() - t0,
-                    jobs=jobs,
-                    extra={"kind": "workload", "payments_per_cell": spec.count},
-                )
-        else:
-            executor.run(to_run, sink=absorb)
-    elapsed = time.perf_counter() - t0
-
+    run = execute(
+        parser,
+        args,
+        sweep,
+        jobs,
+        plan=_plan_resume,
+        expand=_persisted_payments,
+        extra={
+            "kind": "workload",
+            "payments_per_cell": spec.count,
+            "cells": cell_fingerprints(sweep),
+        },
+    )
+    errors = [cell for cell in run.result.records if not cell.ok]
     if errors:
-        first = errors[0]
-        print(first.error)
+        print(errors[0].error)
         print(
-            f"error: {len(errors)}/{len(to_run)} workload cells failed; "
-            f"first: {first.spec.coords!r}"
+            f"error: {len(errors)}/{len(run.to_run)} workload cells failed; "
+            f"first: {errors[0].spec.coords!r}"
         )
         return 1
+    unconserved = [
+        cell.spec.coords for cell in run.result.records if not cell["conserved"]
+    ]
     if unconserved:
         print(
             "error: liquidity conservation failed in cells: "
@@ -408,30 +317,24 @@ def workload_main(argv: Optional[List[str]] = None) -> int:
         )
         return 1
 
+    # Per-payment values per cell, keyed by cell coords, for the table.
+    cell_payments: Dict[Tuple[Any, ...], List[Dict[str, Any]]] = {
+        tuple(cell.spec.coords): cell["payments"] for cell in run.result.records
+    }
+    if run.resume is not None:
+        for record in run.resume.keep.records:
+            cell_payments.setdefault(tuple(record.spec.coords[:-1]), []).append(
+                record.values
+            )
     rows = [
         (cell.coords, _cell_stats(cell_payments[cell.coords]))
         for cell in sweep.trials
         if cell.coords in cell_payments
     ]
-    table = render_workload_table(rows)
-    print(table)
-    if diff is not None:
-        footer = (
-            f"({len(to_run)} cells run, {diff.completed_cells} reused from "
-            f"{args.out}, in {elapsed:.1f}s, jobs={jobs})"
-        )
-    else:
-        footer = (
-            f"({len(sweep)} cells x {spec.count} payments in "
-            f"{elapsed:.1f}s, jobs={jobs})"
-        )
-    print(footer)
-    if args.out:
-        print(f"wrote {writer.count} records to {args.out}")
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(table + "\n")
-        print(f"wrote {args.output}")
+    report(
+        args, render_workload_table(rows), run, "cells",
+        f"{len(sweep)} cells x {spec.count} payments",
+    )
     if args.assert_monotone:
         problems = check_monotone_liquidity(rows)
         if problems:

@@ -23,8 +23,9 @@ equivalent solo campaign trial's record values exactly.
 Per-payment records
 -------------------
 Each payment yields the campaign trial's columns (``bob_paid`` ...
-``def1_ok`` / ``def2_ok``) plus ``arrival_time`` and
-``liquidity_failed``.  Two columns read differently under concurrency:
+``def1_ok`` / ``def2_ok``, built by the same
+:func:`~repro.scenarios.trial.payment_values`) plus ``arrival_time``
+and ``liquidity_failed``.  Two columns read differently under concurrency:
 ``latency`` is the payment's own span (finalize time − arrival), and
 ``events`` counts *kernel* events executed during the payment's
 lifetime — a contention measure that includes sibling activity (it
@@ -112,16 +113,19 @@ def run_workload_cell(
     ``k``).
     """
     from ..core.session import PaymentSession, SessionArena
-    from ..net.adversary import CrashRestartAdversary
     from ..scenarios.registry import (
         make_adversary,
         protocol_defaults,
         timing_descriptor,
     )
-    from ..sim.faults import FaultInjector
-    from ..scenarios.trial import _timing_for, _topology_for
+    from ..scenarios.trial import (
+        _timing_for,
+        _topology_for,
+        fault_injector,
+        payment_values,
+        refused_payment_values,
+    )
     from ..sim.trace import CHECKER_KINDS
-    from ..verification.properties import definition_profile, property_columns
 
     if count < 1:
         raise WorkloadError(f"payment count must be >= 1, got {count}")
@@ -133,7 +137,6 @@ def run_workload_cell(
     merged_options = dict(defaults.options)
     merged_options.update(protocol_options or {})
     trace_kinds = None if trace_level == "full" else CHECKER_KINDS
-    profile = definition_profile(protocol)
 
     # Cell-level randomness: arrivals and topology sampling draw from
     # named streams of the cell seed, never from any session's streams.
@@ -179,61 +182,21 @@ def run_workload_cell(
     elif audit is not None:
         raise WorkloadError(f"unknown audit mode {audit!r}; use 'every-op'")
 
-    def _liquidity_failed_values(index: int, topology) -> Dict[str, Any]:
-        return {
-            "bob_paid": False,
-            "chi_issued": False,
-            "committed": False,
-            "aborted": False,
-            "all_terminated": True,
-            "ledgers_ok": True,
-            "latency": 0.0,
-            "messages": 0,
-            "events": 0,
-            "leaves": topology.leaves,
-            "depth": topology.depth,
-            "definition": profile.definition,
-            "def1_ok": None,
-            "def2_ok": None,
-            "violated_properties": [],
-            "arrival_time": times[index],
-            "liquidity_failed": True,
-        }
-
     def _finalize(
         entry: _LivePayment, end_time: float, events: int, quiescent: bool = False
     ) -> None:
         nonlocal finished
         outcome = entry.session.collect(end_time=end_time, events_executed=events)
         substrate.retire(entry.topology.payment_id, entry.session.env.ledgers)
-        decisions = outcome.decision_kinds_issued()
-        values: Dict[str, Any] = {
-            "bob_paid": outcome.bob_paid,
-            "chi_issued": outcome.chi_issued(),
-            "committed": "commit" in decisions,
-            "aborted": "abort" in decisions,
-            "all_terminated": outcome.all_participants_terminated(),
-            "ledgers_ok": all(outcome.ledger_audits.values()),
-            "latency": end_time - entry.arrival,
-            "messages": outcome.messages_sent,
-            "events": events,
-            "leaves": entry.topology.leaves,
-            "depth": entry.topology.depth,
-        }
-        if entry.faults is not None:
-            # Recovery columns appear only on crash-restart cells, so
-            # every pre-existing workload record stays byte-identical.
-            values["crashed"] = entry.faults.crashed_at is not None
-            values["crash_point"] = entry.faults.point
-            values["crash_downtime"] = entry.faults.downtime
-            values["recovered_at"] = entry.faults.recovered_at
-        values.update(
-            property_columns(
-                outcome,
-                protocol=protocol,
-                timing=descriptor,
-                protocol_options=merged_options,
-            )
+        values = payment_values(
+            outcome,
+            entry.topology,
+            protocol=protocol,
+            timing=descriptor,
+            protocol_options=merged_options,
+            latency=end_time - entry.arrival,
+            events=events,
+            faults=entry.faults,
         )
         values["arrival_time"] = entry.arrival
         values["liquidity_failed"] = False
@@ -257,7 +220,10 @@ def run_workload_cell(
         payment_id = f"{payment_label}-p{index}"
         topology = _topology_for(kinds[index], payment_id)
         if not substrate.admit(topology):
-            results[index] = _liquidity_failed_values(index, topology)
+            values = refused_payment_values(topology, protocol)
+            values["arrival_time"] = times[index]
+            values["liquidity_failed"] = True
+            results[index] = values
             finished += 1
             return
         payment_seed = derive_seed(seed, index)
@@ -290,13 +256,7 @@ def run_workload_cell(
         # instance with reset-between-runs, which is only sound because
         # solo runs never overlap; workload sessions do.
         payment_adversary = make_adversary(adversary, topology)
-        injector = None
-        if isinstance(payment_adversary, CrashRestartAdversary):
-            injector = FaultInjector(
-                payment_adversary.victim,
-                payment_adversary.point,
-                payment_adversary.downtime,
-            )
+        injector = fault_injector(payment_adversary)
         session = PaymentSession(
             topology,
             protocol,

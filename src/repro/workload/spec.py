@@ -17,7 +17,10 @@ their specs) before writing.  Resume therefore works on a
 complete-cell-prefix discipline (:func:`diff_workload`): the longest
 prefix of the record file that matches whole expected cells is kept
 byte-identical, and every other cell re-runs — a cell is deterministic,
-so re-running a half-written one reproduces the same records.
+so re-running a half-written one reproduces the same records.  Kept
+cells are checked against the option fingerprints the manifest stores
+(:func:`cell_fingerprints`), so a resume with another ``--rho`` or
+``--set`` is refused instead of silently reusing cells built without it.
 """
 
 from __future__ import annotations
@@ -323,8 +326,28 @@ def records_byte_length(records: Sequence[TrialRecord]) -> int:
     )
 
 
+def cell_fingerprints(sweep: SweepSpec) -> Dict[str, str]:
+    """Each cell's full option payload as canonical JSON, keyed by coords.
+
+    Payment records carry only compact per-payment options, so the
+    knobs that shape a cell without entering its coordinates or seed
+    (rho, horizon, ``--set`` overrides) are invisible in them.  The
+    workload CLI stores these fingerprints in the manifest;
+    :func:`diff_workload` checks kept cells against them.  The audit
+    mode is left out: it verifies a run without changing it.
+    """
+    return {
+        json.dumps(list(cell.coords)): json.dumps(
+            {k: v for k, v in cell.options.items() if k != "audit"}, sort_keys=True
+        )
+        for cell in sweep
+    }
+
+
 def diff_workload(
-    sweep: SweepSpec, records: Sequence[TrialRecord]
+    sweep: SweepSpec,
+    records: Sequence[TrialRecord],
+    built_with: Optional[Mapping[str, str]] = None,
 ) -> WorkloadDiff:
     """Diff a compiled workload against already-persisted payment records.
 
@@ -333,7 +356,15 @@ def diff_workload(
     cells is kept (and its byte length computed for the writer's
     truncation point).  Every other cell — half-written, mismatched, or
     simply not yet run — goes into ``missing`` and re-runs in full.
+
+    ``built_with`` is the persisted :func:`cell_fingerprints` (absent
+    from directories whose last write was interrupted).  A cell whose
+    records match but whose fingerprint differs was built with other
+    options; keeping it would mix incomparable evidence, so that is a
+    :class:`~repro.errors.WorkloadError`, as campaigns refuse it.
     """
+    built_with = built_with or {}
+    fingerprints = cell_fingerprints(sweep) if built_with else {}
     kept: List[TrialRecord] = []
     missing = SweepSpec(sweep_id=sweep.sweep_id)
     position = 0
@@ -353,6 +384,13 @@ def diff_workload(
                 for record, spec in zip(chunk, expected)
             )
         if matched:
+            key = json.dumps(list(cell.coords))
+            if key in built_with and built_with[key] != fingerprints[key]:
+                raise WorkloadError(
+                    f"persisted cell {cell.coords!r} was run with different "
+                    "options (rho/horizon/--set) than the requested "
+                    "workload; use a fresh --out directory"
+                )
             kept.extend(chunk)
             position += len(expected)
             completed += 1
@@ -375,6 +413,7 @@ __all__ = [
     "TRIAL_REF",
     "WorkloadDiff",
     "WorkloadSpec",
+    "cell_fingerprints",
     "diff_workload",
     "expand_cell_record",
     "normalize_mix",

@@ -401,3 +401,80 @@ class TestCampaignCli:
         with pytest.raises(SystemExit):
             main(["campaign", "--timing", "warp"])
         assert "unknown timing model" in capsys.readouterr().err
+
+    def test_cli_table_notes_adversary_skipped_cells(self, capsys, monkeypatch):
+        """The campaign CLI reports every skipped cell run_campaign
+        reports, adversary-incapable ones included."""
+        import repro.scenarios.spec as spec_mod
+        from repro.cli import main
+
+        monkeypatch.setattr(
+            spec_mod, "protocol_supports_recovery", lambda p: p != "htlc"
+        )
+        assert main(["campaign", "--protocols", "htlc,weak", "--timing", "sync",
+                     "--adversaries", "none,crash-restart", "--trials", "1",
+                     "--topologies", "linear-1"]) == 0
+        out = capsys.readouterr().out
+        assert "skipped htlc x crash-restart" in out
+
+
+#: The two sweep CLIs, as subcommands of ``python -m repro``.
+SWEEP_CLIS = ("campaign", "workload")
+
+
+class TestSweepFrontEnd:
+    """campaign and workload share one execution/persistence front-end."""
+
+    @pytest.mark.parametrize("command", SWEEP_CLIS)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--jobs", "0"], "--jobs must be >= 1, got 0"),
+            (["--chunksize", "0"], "--chunksize must be >= 1, got 0"),
+            (["--resume"], "needs --out DIR"),
+            (["--set", "weak"], "expected protocol.option=value"),
+        ],
+    )
+    def test_shared_flags_validate_identically(
+        self, capsys, command, argv, message
+    ):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit):
+            main([command] + argv)
+        assert message in capsys.readouterr().err
+
+    def test_both_parsers_carry_the_shared_flags(self):
+        from repro.runtime.frontend import RUN_FLAGS
+        from repro.scenarios.cli import cli_flags as campaign_flags
+        from repro.workload.cli import cli_flags as workload_flags
+
+        shared = {flag for flag, _ in RUN_FLAGS} | {"--output"}
+        assert shared <= set(campaign_flags())
+        assert shared <= set(workload_flags())
+
+    @pytest.mark.parametrize(
+        "command, argv",
+        [
+            ("campaign", ["--protocols", "htlc,weak", "--timing", "sync",
+                          "--topologies", "linear-1", "--trials", "2"]),
+            ("workload", ["--protocols", "htlc,weak", "--loads", "0.5",
+                          "--payments", "3"]),
+        ],
+    )
+    def test_manifest_provenance_is_the_same(self, tmp_path, capsys, command, argv):
+        """--set overrides and the pool's chunksize land in either
+        CLI's manifest under the same keys."""
+        import json
+
+        from repro.cli import main
+
+        out = tmp_path / "out"
+        assert main([command] + argv + [
+            "--set", "weak.patience_setup=40", "--jobs", "2",
+            "--chunksize", "1", "--out", str(out),
+        ]) == 0
+        capsys.readouterr()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["option_overrides"] == {"weak": {"patience_setup": 40}}
+        assert manifest["chunksize"] == 1 and manifest["jobs"] == 2

@@ -50,6 +50,7 @@ from repro.workload import (
     workload_payment,
 )
 from repro.workload.cli import _cell_stats, workload_main
+from repro.workload.spec import cell_fingerprints
 
 PROTOCOLS = ("timebounded", "htlc", "weak", "certified")
 
@@ -296,6 +297,57 @@ def test_resumed_bytes_equal_fresh_bytes():
         for record in expand_cell_record(cell_record)
     ]
     assert encode(diff.kept + rerun) == encode(expanded)
+
+
+def test_resume_refuses_cells_built_with_other_options():
+    """rho/horizon/--set never reach a payment record, so only the
+    manifest's cell fingerprints can tell a resume that the persisted
+    cells were built differently."""
+    spec = WorkloadSpec(protocols=("htlc",), loads=(0.05,), count=4, seed=2)
+    sweep = spec.compile()
+    expanded = [
+        record
+        for cell_record in SerialExecutor().run(sweep).records
+        for record in expand_cell_record(cell_record)
+    ]
+    built_with = cell_fingerprints(sweep)
+    assert diff_workload(sweep, expanded, built_with).completed_cells == 1
+    drifted = WorkloadSpec(
+        protocols=("htlc",), loads=(0.05,), count=4, seed=2, rho=0.1
+    ).compile()
+    # Identical payment records, different cell options.
+    assert [s.options for s in payment_specs(drifted.trials[0])] == [
+        s.options for s in payment_specs(sweep.trials[0])
+    ]
+    with pytest.raises(WorkloadError, match="different options"):
+        diff_workload(drifted, expanded, built_with)
+    # Without fingerprints (an interrupted write) the prefix is kept.
+    assert diff_workload(drifted, expanded).completed_cells == 1
+
+
+def test_cli_resume_with_other_rho_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "wl"
+    base = ["--protocols", "htlc", "--loads", "0.05", "--payments", "3",
+            "--out", str(out)]
+    assert workload_main(base) == 0
+    assert workload_main(base + ["--resume"]) == 0
+    assert "0 new cells run, 1 reused" in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        workload_main(base + ["--resume", "--rho", "0.1"])
+    assert "different options" in capsys.readouterr().err
+
+
+def test_refused_payment_record_has_the_payment_columns():
+    """One record shape: a refused payment carries exactly the columns,
+    in the same order, of a payment that ran."""
+    spec = WorkloadSpec(
+        protocols=("weak",), loads=(5.0,), count=6, liquidity=150, seed=1
+    )
+    (cell,) = SerialExecutor().run(spec.compile()).records
+    ran = [p for p in cell["payments"] if not p["liquidity_failed"]]
+    refused = [p for p in cell["payments"] if p["liquidity_failed"]]
+    assert ran and refused
+    assert {tuple(p) for p in ran + refused} == {tuple(ran[0])}
 
 
 def test_payment_records_are_expansion_artifacts():

@@ -8,8 +8,8 @@ tables that can rot.  Likewise the analysis subsystem: its metric
 registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
-both, and README.md documents the incremental-campaign flag
-(``--resume``) and every ``repro workload`` flag.  This script fails
+both, and README.md documents every ``repro campaign`` and ``repro
+workload`` flag.  This script fails
 (exit 1) when any registered axis name, analysis metric, or CLI flag
 is missing from the document that promises it, naming each gap.
 
@@ -35,14 +35,13 @@ DOCUMENTS = ("README.md", "docs/PAPER_MAP.md")
 #: The analysis cookbook: must mention every metric and analyze flag.
 ANALYSIS_DOCUMENT = "docs/ANALYSIS.md"
 
-#: Documents that must mention every incremental-campaign flag.
+#: The analysis cookbook's worked example grows a campaign with --resume.
 RESUME_FLAGS = ("--resume",)
-RESUME_DOCUMENTS = ("README.md", "docs/ANALYSIS.md")
 
-#: Document that must mention every `repro workload` flag: the
-#: concurrent-workload CLI is its own README section, and its flag set
-#: (from the same parser --help renders) must stay documented there.
-WORKLOAD_DOCUMENT = "README.md"
+#: Document that must mention every `repro campaign` and `repro
+#: workload` flag: each sweep CLI is its own README section, and its
+#: flag set (from the same parser --help renders) must stay documented.
+SWEEP_CLI_DOCUMENT = "README.md"
 
 
 def _read_documents(root: Path, names, problems: List[str]) -> Dict[str, str]:
@@ -62,6 +61,7 @@ def find_gaps(root: Path = ROOT) -> List[str]:
     try:
         from repro.analysis.cli import cli_flags
         from repro.analysis.query import METRICS
+        from repro.scenarios.cli import cli_flags as campaign_cli_flags
         from repro.scenarios.registry import TOPOLOGY_BUILDERS, axis_descriptions
         from repro.sim.faults import CRASH_POINT_DOCS, CRASH_POINTS
         from repro.workload.cli import cli_flags as workload_cli_flags
@@ -133,25 +133,31 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                     f"{ANALYSIS_DOCUMENT}: analyze flag `{flag}` not documented"
                 )
 
-    # Incremental campaigns: --resume must be documented where users
-    # look for campaign workflows.
-    resume_texts = _read_documents(root, RESUME_DOCUMENTS, [])
-    for rel, text in resume_texts.items():
+    # Incremental campaigns: the cookbook's worked example must name
+    # --resume.
+    if analysis_text:
         for flag in RESUME_FLAGS:
-            if f"`{flag}`" not in text:
-                problems.append(f"{rel}: campaign flag `{flag}` not documented")
-
-    # The workload CLI: every `repro workload` flag must be documented
-    # (backticked, bare or usage-style) in the README's workload
-    # section, from the same parser that --help renders.
-    workload_texts = _read_documents(root, (WORKLOAD_DOCUMENT,), problems)
-    workload_text = workload_texts.get(WORKLOAD_DOCUMENT, "")
-    if workload_text:
-        for flag in workload_cli_flags():
-            if f"`{flag}`" not in workload_text and f"`{flag} " not in workload_text:
+            if f"`{flag}`" not in analysis_text:
                 problems.append(
-                    f"{WORKLOAD_DOCUMENT}: workload flag `{flag}` not documented"
+                    f"{ANALYSIS_DOCUMENT}: campaign flag `{flag}` not documented"
                 )
+
+    # The sweep CLIs: every `repro campaign` and `repro workload` flag
+    # must be documented (backticked, bare or usage-style) in the
+    # README, from the same parsers that --help renders.
+    sweep_texts = _read_documents(root, (SWEEP_CLI_DOCUMENT,), problems)
+    sweep_text = sweep_texts.get(SWEEP_CLI_DOCUMENT, "")
+    if sweep_text:
+        for command, flags in (
+            ("campaign", campaign_cli_flags()),
+            ("workload", workload_cli_flags()),
+        ):
+            for flag in flags:
+                if f"`{flag}`" not in sweep_text and f"`{flag} " not in sweep_text:
+                    problems.append(
+                        f"{SWEEP_CLI_DOCUMENT}: {command} flag `{flag}` "
+                        "not documented"
+                    )
     return problems
 
 
@@ -164,7 +170,8 @@ def main() -> int:
             f"docs-consistency: {len(problems)} problem(s); update "
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
-            "repro/analysis/cli.py, and repro/workload/cli.py",
+            "repro/analysis/cli.py, repro/scenarios/cli.py, and "
+            "repro/workload/cli.py",
             file=sys.stderr,
         )
         return 1
