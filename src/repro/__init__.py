@@ -30,7 +30,7 @@ True
 from ._version import __version__
 from .clocks import DriftingClock, PERFECT_CLOCK, extremal_clock, random_clock
 from .core.outcomes import PaymentOutcome
-from .core.params import TimeoutParams, TimingAssumptions, compute_params
+from .core.params import GraphTimeoutParams, TimingAssumptions, compute_graph_params
 from .core.problem import (
     EVENTUALLY_TERMINATING_PAYMENT,
     PropertyId,
@@ -48,6 +48,7 @@ __all__ = [
     "Asynchronous",
     "DriftingClock",
     "EVENTUALLY_TERMINATING_PAYMENT",
+    "GraphTimeoutParams",
     "PERFECT_CLOCK",
     "PartialSynchrony",
     "PaymentEnv",
@@ -58,11 +59,10 @@ __all__ = [
     "Simulator",
     "Synchronous",
     "TIME_BOUNDED_PAYMENT",
-    "TimeoutParams",
     "TimingAssumptions",
     "WEAK_LIVENESS_PAYMENT",
     "amount",
-    "compute_params",
+    "compute_graph_params",
     "extremal_clock",
     "random_clock",
     "__version__",

@@ -2,7 +2,7 @@
 sessions, and outcomes."""
 
 from .outcomes import AssetDelta, BalanceSnapshot, PaymentOutcome, snapshot_balances
-from .params import TimeoutParams, TimingAssumptions, compute_params, h_bound
+from .params import GraphTimeoutParams, TimingAssumptions, compute_graph_params
 from .problem import (
     ALL_SPECS,
     EVENTUALLY_TERMINATING_PAYMENT,
@@ -21,6 +21,7 @@ __all__ = [
     "AssetDelta",
     "BalanceSnapshot",
     "EVENTUALLY_TERMINATING_PAYMENT",
+    "GraphTimeoutParams",
     "PROPERTY_STATEMENTS",
     "PaymentEnv",
     "PaymentOutcome",
@@ -30,10 +31,8 @@ __all__ = [
     "PropertyId",
     "SynchronyAssumption",
     "TIME_BOUNDED_PAYMENT",
-    "TimeoutParams",
     "TimingAssumptions",
     "WEAK_LIVENESS_PAYMENT",
-    "compute_params",
-    "h_bound",
+    "compute_graph_params",
     "snapshot_balances",
 ]

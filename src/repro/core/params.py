@@ -21,7 +21,10 @@ at ``e_i``, when every participant abides:
 * ``H_i = H_{i+1} + 4Δ + 4ε``  (P to c_{i+1}, deposit to e_{i+1},
   e_{i+1} issues its own promise, χ returns via c_{i+1}), giving
 
-  ``H_i = 2Δ + ε + (n-1-i)·(4Δ + 4ε)``.
+  ``H_i = 2Δ + ε + (n-1-i)·(4Δ + 4ε)``  (:func:`h_from_hops`).
+
+On a payment DAG the hop count ``n-1-i`` becomes the escrow's longest
+remaining path to a sink (:func:`compute_graph_params`).
 
 A local window ``a_i`` elapses in real time at least ``a_i / (1+ρ)``
 (worst case: the escrow's clock runs maximally fast).  Soundness needs
@@ -40,7 +43,6 @@ local), and the processing before the refund/certificate send::
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Dict, Tuple
@@ -65,59 +67,6 @@ class TimingAssumptions:
             raise ParameterError(f"rho must be in [0, 1), got {self.rho!r}")
 
 
-@dataclass(frozen=True)
-class TimeoutParams:
-    """Computed windows for one protocol instance."""
-
-    n_escrows: int
-    assumptions: TimingAssumptions
-    a: Tuple[float, ...]  # certificate windows a_0 … a_{n-1}
-    d: Tuple[float, ...]  # guarantee bounds d_0 … d_{n-1}
-    drift_tuned: bool
-    margin: float
-
-    def a_i(self, i: int) -> float:
-        return self.a[i]
-
-    def d_i(self, i: int) -> float:
-        return self.d[i]
-
-    # -- derived bounds ----------------------------------------------------
-
-    def certificate_return_bound(self, i: int) -> float:
-        """``H_i``: real-time bound on χ returning to escrow ``e_i``."""
-        return h_bound(self.n_escrows, i, self.assumptions)
-
-    def deposit_time_bound(self, i: int) -> float:
-        """Real-time bound for the money reaching escrow ``e_i``.
-
-        ``D_i = (i+1)·(2Δ + 2ε)``: each forward hop costs at most one
-        promise/guarantee delivery + customer processing + money
-        delivery + escrow processing.
-        """
-        t = self.assumptions
-        return (i + 1) * (2 * t.delta + 2 * t.epsilon)
-
-    def global_termination_bound(self) -> float:
-        """A-priori real-time bound by which *every* honest participant
-        has terminated, assuming all escrows abide (property **T**).
-
-        Conservative composition: latest deposit, plus the slowest
-        escrow waiting out its full window on a maximally *slow* clock
-        (real duration ``a_0/(1-ρ)`` — a_0 is the largest window), plus
-        the refund/certificate cascade back down the path.
-        """
-        t = self.assumptions
-        slowest_window = self.a[0] / (1.0 - t.rho) if self.a else 0.0
-        cascade = (self.n_escrows + 1) * (2 * t.delta + 2 * t.epsilon)
-        return (
-            self.deposit_time_bound(self.n_escrows - 1)
-            + t.epsilon
-            + slowest_window
-            + cascade
-        )
-
-
 def h_from_hops(hops_remaining: int, t: TimingAssumptions) -> float:
     """``H`` for an escrow with ``hops_remaining`` hops below it.
 
@@ -130,80 +79,13 @@ def h_from_hops(hops_remaining: int, t: TimingAssumptions) -> float:
     return 2 * t.delta + t.epsilon + hops_remaining * (4 * t.delta + 4 * t.epsilon)
 
 
-def h_bound(n_escrows: int, i: int, t: TimingAssumptions) -> float:
-    """``H_i`` — see module docstring."""
-    if not (0 <= i < n_escrows):
-        raise ParameterError(f"escrow index {i} out of range for n={n_escrows}")
-    return h_from_hops(n_escrows - 1 - i, t)
-
-
-@lru_cache(maxsize=256)
-def compute_params(
-    n_escrows: int,
-    assumptions: TimingAssumptions,
-    drift_tuned: bool = True,
-    margin: float = 0.0,
-) -> TimeoutParams:
-    """Compute the windows ``a_i`` and ``d_i`` for all escrows.
-
-    Memoized: every argument is hashable and the result is deeply
-    immutable (frozen dataclass over tuples), so protocol builds that
-    repeat the same ``(n, Δ, ε, ρ)`` cell — every campaign trial —
-    share one computation.
-
-    Parameters
-    ----------
-    n_escrows:
-        Path length (number of escrows).
-    assumptions:
-        The synchrony bounds (Δ, ε, ρ).
-    drift_tuned:
-        ``True`` applies the (1+ρ) inflation factors (the paper's
-        fine-tuning); ``False`` reproduces the naive calculus that
-        experiment E2 shows to be unsound under drift.
-    margin:
-        Extra slack added to every window (robustness headroom).
-    """
-    if n_escrows < 1:
-        raise ParameterError("need at least one escrow")
-    if margin < 0:
-        raise ParameterError(f"margin must be >= 0, got {margin!r}")
-    t = assumptions
-    inflation = (1.0 + t.rho) if drift_tuned else 1.0
-    # One flat pass over pre-sized double accumulators.  ``H_i`` is
-    # affine in the hop count, so its shared subexpressions hoist out
-    # of the loop; every arithmetic grouping below matches the
-    # per-escrow ``h_bound``/``h_from_hops`` path operation for
-    # operation, keeping the windows bit-identical to the historical
-    # per-index evaluation (no running-sum shortcuts — those would
-    # change float associativity).
-    base = 2 * t.delta + t.epsilon
-    step = 4 * t.delta + 4 * t.epsilon
-    d_extra = 2.0 * inflation * t.epsilon
-    a_acc = array("d", bytes(8 * n_escrows))
-    d_acc = array("d", bytes(8 * n_escrows))
-    last = n_escrows - 1
-    for i in range(n_escrows):
-        a = inflation * (base + (last - i) * step) + margin
-        a_acc[i] = a
-        d_acc[i] = a + d_extra + margin
-    return TimeoutParams(
-        n_escrows=n_escrows,
-        assumptions=t,
-        a=tuple(a_acc),
-        d=tuple(d_acc),
-        drift_tuned=drift_tuned,
-        margin=margin,
-    )
-
-
 @dataclass(frozen=True)
 class GraphTimeoutParams:
     """Per-escrow windows for a payment DAG, keyed by escrow name.
 
-    The same calculus as :class:`TimeoutParams`, driven by each
-    escrow's longest remaining path to a sink instead of its path
-    index; on the Figure-1 path the two agree bit-for-bit.
+    Each escrow's windows follow the module calculus with its path
+    index replaced by its longest remaining path to a sink; the
+    Figure-1 path is the special case ``hops = n-1-i``.
     """
 
     assumptions: TimingAssumptions
@@ -220,11 +102,16 @@ class GraphTimeoutParams:
         return self.d[escrow]
 
     def global_termination_bound(self) -> float:
-        """A-priori real-time bound for every honest participant's
-        termination when all escrows abide (see
-        :meth:`TimeoutParams.global_termination_bound`; the path
-        composition with ``n`` replaced by the graph depth and the
-        slowest window taken over all escrows)."""
+        """A-priori real-time bound by which *every* honest participant
+        has terminated, assuming all escrows abide (property **T**).
+
+        Conservative composition over the graph depth ``D``: the latest
+        deposit (``D·(2Δ + 2ε)``, one promise/guarantee delivery,
+        customer processing, money delivery and escrow processing per
+        hop), plus the slowest escrow waiting out its largest window on
+        a maximally *slow* clock (real duration ``a/(1-ρ)``), plus the
+        refund/certificate cascade back up (``(D+1)·(2Δ + 2ε)``).
+        """
         t = self.assumptions
         slowest_window = max(self.a.values()) / (1.0 - t.rho) if self.a else 0.0
         step = 2 * t.delta + 2 * t.epsilon
@@ -244,8 +131,9 @@ def compute_graph_params(
     Each escrow's ``H`` uses its longest remaining path to a sink
     (:meth:`~repro.core.topology.PaymentGraph.depth_to_sink` of the
     hop's downstream customer), so every certificate — even the
-    slowest sink's — can return inside the window.  On a path this
-    reproduces :func:`compute_params` exactly.
+    slowest sink's — can return inside the window.  On the Figure-1
+    path escrow ``e_i`` has ``n-1-i`` hops to Bob, so its windows are
+    the module docstring's ``a_i``/``d_i``.
 
     **Fan-in skew.**  The hops-to-sink recurrence assumes the sink's
     certificate is triggered by *this* escrow's own deposit cascade —
@@ -298,30 +186,16 @@ def _graph_params_for_shape(
 ) -> GraphTimeoutParams:
     t = assumptions
     inflation = (1.0 + t.rho) if drift_tuned else 1.0
-    # Same flat-array single pass as :func:`compute_params`, walking
-    # the shape table in its (topologically derived) edge order.  The
-    # hop counts come straight from the graph's derived tables, so the
-    # per-entry range check of ``h_from_hops`` is vacuous here and the
-    # loop is pure arithmetic with identical grouping — the resulting
-    # windows are bit-for-bit the recursion's.
-    base = 2 * t.delta + t.epsilon
-    step = 4 * t.delta + 4 * t.epsilon
-    d_extra = 2.0 * inflation * t.epsilon
-    n = len(shape)
-    a_acc = array("d", bytes(8 * n))
-    d_acc = array("d", bytes(8 * n))
-    names = []
-    for i, (escrow, hops, skew) in enumerate(shape):
-        a = inflation * (base + (hops + skew) * step) + margin
-        a_acc[i] = a
-        d_acc[i] = a + d_extra + margin
-        names.append(escrow)
-    a_map: Dict[str, float] = dict(zip(names, a_acc))
-    d_map: Dict[str, float] = dict(zip(names, d_acc))
+    a: Dict[str, float] = {}
+    d: Dict[str, float] = {}
+    for escrow, hops, skew in shape:
+        window = inflation * h_from_hops(hops + skew, t) + margin
+        a[escrow] = window
+        d[escrow] = window + 2.0 * inflation * t.epsilon + margin
     return GraphTimeoutParams(
         assumptions=t,
-        a=a_map,
-        d=d_map,
+        a=a,
+        d=d,
         depth=depth,
         drift_tuned=drift_tuned,
         margin=margin,
@@ -330,10 +204,7 @@ def _graph_params_for_shape(
 
 __all__ = [
     "GraphTimeoutParams",
-    "TimeoutParams",
     "TimingAssumptions",
     "compute_graph_params",
-    "compute_params",
-    "h_bound",
     "h_from_hops",
 ]

@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..core.params import TimingAssumptions, compute_params
+from ..core.params import TimingAssumptions, compute_graph_params
+from ..core.topology import PaymentTopology
 from ..properties import check_definition1, check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
 from .harness import ExperimentResult, payment_session
@@ -35,8 +36,9 @@ def trial(spec) -> Dict[str, Any]:
     variant = spec.opt("variant")
     if variant == "bounded":
         assumed = spec.opt("assumed_delta")
-        params = compute_params(
-            N, TimingAssumptions(delta=assumed, epsilon=EPSILON, rho=0.0)
+        params = compute_graph_params(
+            PaymentTopology.linear(N),
+            TimingAssumptions(delta=assumed, epsilon=EPSILON, rho=0.0),
         )
         # Adaptive adversary: pick GST beyond the whole timeout horizon.
         gst = 4.0 * params.global_termination_bound()

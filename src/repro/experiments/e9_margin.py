@@ -45,7 +45,7 @@ def trial(spec) -> Dict[str, Any]:
     )
     outcome2 = session2.run()
     return {
-        "a0": params.a_i(0),
+        "a0": params.a_of(session.topology.escrow(0)),
         "bound": bound,
         "honest_ok": check_definition1(
             outcome, termination_bound=bound

@@ -22,7 +22,6 @@ constraint".
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from math import log as _log
 from typing import Optional
 
 from ..errors import TimingModelError
@@ -94,51 +93,17 @@ class Synchronous(TimingModel):
         self.min_delay = float(min_delay)
         self.jitter = float(jitter)
         self.known_bound = self.delta
-        # Hoisted jitter window: ``hi`` and the span are pure functions
-        # of the constructor arguments, so the per-message sample pays
-        # one multiply-add instead of recomputing the window.  The span
-        # equals ``hi - min_delay`` exactly, so the inline draw below
-        # reproduces ``rng.uniform(min_delay, hi)`` bit for bit
-        # (CPython's uniform is ``a + (b - a) * random()``).
         self._jitter_hi = self.min_delay + self.jitter * (self.delta - self.min_delay)
-        self._jitter_span = self._jitter_hi - self.min_delay
 
     def sample_delay(self, envelope: Envelope, send_time: float, rng: RngStream) -> float:
-        span = self._jitter_span
-        if span > 0.0:
-            return self.min_delay + span * rng.buffered_random()
+        # An empty jitter window draws nothing, so ``jitter=0`` leaves
+        # the delay stream untouched.
+        if self._jitter_hi > self.min_delay:
+            return rng.uniform(self.min_delay, self._jitter_hi)
         return self.min_delay
 
     def clamp(self, envelope: Envelope, send_time: float, proposed_delay: float) -> float:
         return min(max(proposed_delay, self.min_delay), self.delta)
-
-    def delivery_time(
-        self,
-        envelope: Envelope,
-        send_time: float,
-        rng: RngStream,
-        proposed_delay: Optional[float] = None,
-    ) -> float:
-        # Fused fast path for the common no-proposal send: the sampled
-        # delay is ≥ min_delay by construction, so validation cannot
-        # fire and only the upper clamp can bind (when ``hi`` rounds a
-        # hair above delta) — two method frames shed per message, with
-        # the same floats as the sample/validate/clamp base path.  The
-        # jitter uniform comes off the stream's prefetch buffer (filled
-        # in batches, consumed in draw order — the same values a scalar
-        # ``rng.random()`` would return).
-        if proposed_delay is None:
-            span = self._jitter_span
-            if span > 0.0:
-                buf = rng._buffer
-                delay = self.min_delay + span * (
-                    buf.pop() if buf else rng.refill_uniforms()
-                )
-                if delay > self.delta:
-                    delay = self.delta
-                return send_time + delay
-            return send_time + self.min_delay
-        return TimingModel.delivery_time(self, envelope, send_time, rng, proposed_delay)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Synchronous(delta={self.delta}, min_delay={self.min_delay})"
@@ -175,11 +140,6 @@ class PartialSynchrony(TimingModel):
         self.delta = float(delta)
         self.pre_gst_scale = float(pre_gst_scale)
         self.known_bound = None
-        # Hoisted exponential rate: same float the old per-call
-        # ``1.0 / (pre_gst_scale * delta)`` produced, computed once.
-        self._pre_gst_lambd = (
-            1.0 / (self.pre_gst_scale * self.delta) if self.pre_gst_scale > 0 else 0.0
-        )
 
     def deadline(self, send_time: float) -> float:
         """Latest permitted delivery instant for a ``send_time`` send."""
@@ -187,15 +147,9 @@ class PartialSynchrony(TimingModel):
 
     def sample_delay(self, envelope: Envelope, send_time: float, rng: RngStream) -> float:
         if send_time >= self.gst:
-            # == rng.uniform(0.0, delta): CPython's uniform is
-            # ``a + (b - a) * random()`` and ``0.0 + x`` is ``x`` for
-            # every non-negative ``x``, so one multiply replaces the
-            # method frame with the same draw and the same float (the
-            # buffered draw serves that exact value batch-prefetched).
-            return self.delta * rng.buffered_random()
+            return rng.uniform(0.0, self.delta)
         if self.pre_gst_scale > 0:
-            # == rng.expovariate(lambd): ``-log(1 - random()) / lambd``.
-            raw = -_log(1.0 - rng.buffered_random()) / self._pre_gst_lambd
+            raw = rng.expovariate(1.0 / (self.pre_gst_scale * self.delta))
         else:
             raw = 0.0
         return min(raw, self.deadline(send_time) - send_time)
@@ -224,12 +178,9 @@ class Asynchronous(TimingModel):
         self.mean_delay = float(mean_delay)
         self.max_delay = float(max_delay)
         self.known_bound = None
-        self._lambd = 1.0 / self.mean_delay
 
     def sample_delay(self, envelope: Envelope, send_time: float, rng: RngStream) -> float:
-        # == rng.expovariate(1.0 / mean_delay), one frame cheaper; the
-        # uniform comes off the stream's batch prefetch buffer.
-        return min(-_log(1.0 - rng.buffered_random()) / self._lambd, self.max_delay)
+        return min(rng.expovariate(1.0 / self.mean_delay), self.max_delay)
 
     def clamp(self, envelope: Envelope, send_time: float, proposed_delay: float) -> float:
         return min(proposed_delay, self.max_delay)

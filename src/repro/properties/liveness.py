@@ -4,7 +4,7 @@ Termination checks are conditional exactly as the paper phrases them:
 for a customer the guarantee applies only when *her escrows* abide.
 The time-bounded variant additionally requires an *a priori* bound,
 supplied by the caller (typically
-:meth:`repro.core.params.TimeoutParams.global_termination_bound`).
+:meth:`repro.core.params.GraphTimeoutParams.global_termination_bound`).
 """
 
 from __future__ import annotations

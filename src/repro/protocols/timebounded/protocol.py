@@ -13,8 +13,8 @@ Chloe / Bob), so path topologies behave byte-identically to the
 pre-graph implementation; nodes with fan-in/fan-out (a tree's
 branching Alice, a hub's fanning connector) get the counting fan-out
 specs of :mod:`.customer`.  Windows come from the per-escrow graph
-calculus (:func:`repro.core.params.compute_graph_params`), which on a
-path reproduces :func:`repro.core.params.compute_params` bit-for-bit.
+calculus (:func:`repro.core.params.compute_graph_params`), whose
+hops-to-sink recurrence is the paper's ``a_i``/``d_i`` on a path.
 
 Options (``protocol_options`` of the session)
 ---------------------------------------------
@@ -51,7 +51,7 @@ from typing import Any, Dict, Sequence, Tuple, Union
 from ...anta.automaton import TimedAutomaton
 from ...anta.transitions import AutomatonSpec
 from ...byzantine.behaviors import apply_behavior
-from ...core.params import TimingAssumptions, compute_graph_params, compute_params
+from ...core.params import TimingAssumptions, compute_graph_params
 from ...core.topology import HopEdge
 from ...errors import ProtocolError
 from ..base import PaymentProtocol, register_protocol
@@ -95,19 +95,8 @@ class TimeBoundedProtocol(PaymentProtocol):
         self._no_timeout = bool(self.option("no_timeout", False))
 
         assumptions = TimingAssumptions(delta=float(delta), epsilon=epsilon, rho=rho)
-        self.windows = compute_graph_params(
+        self.params = compute_graph_params(
             topo, assumptions, drift_tuned=drift_tuned, margin=margin
-        )
-        # Path sessions keep the historical TimeoutParams object (same
-        # float values — the graph calculus reduces to it on paths);
-        # graph sessions expose the per-escrow windows instead.  Both
-        # offer global_termination_bound() for the T checks.
-        self.params = (
-            compute_params(
-                topo.n_escrows, assumptions, drift_tuned=drift_tuned, margin=margin
-            )
-            if topo.is_path
-            else self.windows
         )
 
         for edge in topo.edges:
@@ -150,8 +139,8 @@ class TimeBoundedProtocol(PaymentProtocol):
             "index": topo.escrow_index(name),
             "upstream": edge.upstream,
             "downstream": edge.downstream,
-            "a_i": self.windows.a_of(name),
-            "d_i": self.windows.d_of(name),
+            "a_i": self.params.a_of(name),
+            "d_i": self.params.d_of(name),
             "amount": edge.amount,
             "ledger": env.ledgers[name],
             "identity": env.identity_of(name),
@@ -197,7 +186,7 @@ class TimeBoundedProtocol(PaymentProtocol):
             "identity": env.identity_of(name),
             "downstream_escrow": escrow,
             "send_amount": edge.amount,
-            "expected_guarantee_window": self.windows.d_of(escrow),
+            "expected_guarantee_window": self.params.d_of(escrow),
             "expected_issuer": self._expected_issuer(name),
         }
         ctx = {"role": "alice", "upstream_escrow": escrow, **config}
@@ -217,8 +206,8 @@ class TimeBoundedProtocol(PaymentProtocol):
             "upstream_escrow": upstream_escrow,
             "downstream_escrow": downstream_escrow,
             "send_amount": out_edge.amount,
-            "expected_guarantee_window": self.windows.d_of(downstream_escrow),
-            "expected_promise_window": self.windows.a_of(upstream_escrow),
+            "expected_guarantee_window": self.params.d_of(downstream_escrow),
+            "expected_promise_window": self.params.a_of(upstream_escrow),
             "expected_issuer": self._expected_issuer(name),
         }
         ctx = {"role": "chloe", **config}
@@ -241,7 +230,7 @@ class TimeBoundedProtocol(PaymentProtocol):
             "keyring": env.keyring,
             "identity": env.identity_of(name),
             "upstream_escrow": escrow,
-            "expected_promise_window": self.windows.a_of(escrow),
+            "expected_promise_window": self.params.a_of(escrow),
             "expected_issuer": name,
         }
         ctx = {"role": "bob", **config}
@@ -262,10 +251,10 @@ class TimeBoundedProtocol(PaymentProtocol):
             "out_escrows": tuple(e.escrow for e in outs),
             "send_amounts": {e.escrow: e.amount for e in outs},
             "expected_guarantee_windows": {
-                e.escrow: self.windows.d_of(e.escrow) for e in outs
+                e.escrow: self.params.d_of(e.escrow) for e in outs
             },
             "expected_promise_windows": {
-                e.escrow: self.windows.a_of(e.escrow) for e in ins
+                e.escrow: self.params.a_of(e.escrow) for e in ins
             },
             "expected_issuer": self._expected_issuer(name),
         }

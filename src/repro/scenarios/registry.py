@@ -33,7 +33,18 @@ Usage::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, FrozenSet, List, Mapping, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.topology import HopEdge, PaymentGraph, PaymentTopology
 from ..errors import ScenarioError
@@ -627,6 +638,41 @@ def protocol_defaults(name: str) -> ProtocolDefaults:
         ) from None
 
 
+def check_sweep_options(
+    protocols: Sequence[str],
+    rhos: Iterable[float],
+    horizons: Iterable[Optional[float]],
+    overrides: Mapping[str, Mapping[str, Any]],
+) -> None:
+    """The drift, horizon and ``--set`` checks every sweep spec shares.
+
+    Each ``rho`` must be >= 0 and each given horizon > 0 (``None`` is
+    the protocol's default).  Each override must target a protocol on
+    the ``protocols`` axis and name one of its ``known_options``: a
+    typo'd option would be silently ignored at run time while being
+    persisted as if it took effect.
+    """
+    for rho in rhos:
+        if rho < 0.0:
+            raise ScenarioError(f"rho must be >= 0, got {rho!r}")
+    for horizon in horizons:
+        if horizon is not None and not (horizon > 0.0):
+            raise ScenarioError(f"horizon must be > 0, got {horizon!r}")
+    for protocol, options in overrides.items():
+        if protocol not in protocols:
+            raise ScenarioError(
+                f"override targets protocol {protocol!r}, which is not "
+                f"on the protocols axis {list(protocols)}"
+            )
+        known = protocol_defaults(protocol).known_options
+        for option in options:
+            if option not in known:
+                raise ScenarioError(
+                    f"protocol {protocol!r} has no option {option!r}; "
+                    f"known options: {sorted(known)}"
+                )
+
+
 # -- listings -------------------------------------------------------------------------
 
 def available_timings() -> List[str]:
@@ -695,6 +741,7 @@ __all__ = [
     "axis_descriptions",
     "build_topology",
     "check_adversary",
+    "check_sweep_options",
     "check_topology",
     "make_adversary",
     "parse_crash_restart",

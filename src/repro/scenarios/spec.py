@@ -23,6 +23,7 @@ from ..protocols.base import protocol_capabilities, protocol_supports_recovery
 from ..runtime import SweepSpec
 from .registry import (
     check_adversary,
+    check_sweep_options,
     check_topology,
     parse_crash_restart,
     protocol_defaults,
@@ -134,10 +135,7 @@ class ScenarioSpec:
         timing_descriptor(self.timing)
         check_adversary(self.adversary)
         check_topology(self.topology)
-        if self.rho < 0.0:
-            raise ScenarioError(f"rho must be >= 0, got {self.rho!r}")
-        if self.horizon is not None and not (self.horizon > 0.0):
-            raise ScenarioError(f"horizon must be > 0, got {self.horizon!r}")
+        check_sweep_options((self.protocol,), (self.rho,), (self.horizon,), {})
         return self
 
     def coords(self) -> Tuple[str, str, str, str]:
@@ -246,21 +244,12 @@ class CampaignSpec:
             protocol: dict(options)
             for protocol, options in dict(self.overrides).items()
         }
-        for protocol, options in self.overrides.items():
-            if protocol not in self.protocols:
-                raise ScenarioError(
-                    f"override targets protocol {protocol!r}, which is not "
-                    f"on the protocols axis {list(self.protocols)}"
-                )
-            known = protocol_defaults(protocol).known_options
-            for option in options:
-                if option not in known:
-                    # A typo'd option would be silently ignored at run
-                    # time while being persisted as if it took effect.
-                    raise ScenarioError(
-                        f"protocol {protocol!r} has no option {option!r}; "
-                        f"known options: {sorted(known)}"
-                    )
+        check_sweep_options(
+            self.protocols,
+            self._rho_values(),
+            self._horizon_values(),
+            self.overrides,
+        )
 
     def _rho_values(self) -> Sequence[float]:
         return self.rhos if self.rhos is not None else (self.rho,)

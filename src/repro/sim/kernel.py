@@ -323,11 +323,7 @@ class Simulator:
                 executed += 1
                 self._executed += 1
                 event.fired = True
-                args = event.args
-                if args:
-                    event.fn(*args)
-                else:
-                    event.fn()  # plain call: skips CALL_EX unpack
+                event.fn(*event.args)
                 if getrefcount(event) == 3:
                     event.fn = None
                     event.args = None

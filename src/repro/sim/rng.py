@@ -16,13 +16,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Dict, Iterable, List, Sequence, TypeVar
 
 T = TypeVar("T")
-
-#: Raw uniforms pre-drawn per buffered refill — see
-#: :meth:`RngStream.buffered_random`.
-UNIFORM_BATCH = 256
 
 
 def derive_seed(master_seed: int, name: str) -> int:
@@ -38,73 +34,12 @@ def derive_seed(master_seed: int, name: str) -> int:
 
 
 class RngStream(random.Random):
-    """A :class:`random.Random` tagged with its name for debugging.
-
-    Besides the inherited scalar draws, the stream offers **batched**
-    raw-uniform access — :meth:`fill_uniforms` for a known draw count
-    and :meth:`buffered_random` for open-ended hot loops — which emit
-    *exactly* the values the same number of scalar ``random()`` calls
-    would have, just pre-drawn in chunks so per-sample Python overhead
-    amortises.  The one discipline the batched APIs impose: a stream
-    consumed through them must not *also* be consumed through direct
-    ``random()``-derived or ``getrandbits``-derived draws (``uniform``,
-    ``expovariate``, ``choice``, ``shuffle``, …), which bypass the
-    prefetch buffer and would reorder the sequence.
-    """
+    """A :class:`random.Random` tagged with its name for debugging."""
 
     def __init__(self, name: str, seed: int) -> None:
         super().__init__(seed)
         self.name = name
         self.seed_value = seed
-        # Pre-drawn raw uniforms in *reverse* draw order, so the next
-        # value is an O(1) ``pop()`` off the tail.
-        self._buffer: List[float] = []
-
-    # -- batched raw-uniform draws ----------------------------------------
-
-    def fill_uniforms(self, n: int) -> List[float]:
-        """``n`` raw uniforms in draw order.
-
-        Bit-identical to ``[self.random() for _ in range(n)]`` on a
-        stream in the same state.  Any values already prefetched by
-        :meth:`buffered_random` are consumed first, so the two batched
-        APIs compose on one stream without reordering a single draw.
-        """
-        buf = self._buffer
-        out: List[float] = []
-        while buf and len(out) < n:
-            out.append(buf.pop())
-        remaining = n - len(out)
-        if remaining > 0:
-            r = self.random
-            out.extend([r() for _ in range(remaining)])
-        return out
-
-    def refill_uniforms(self) -> float:
-        """Prefetch one batch of raw uniforms and pop the next value.
-
-        The slow path of :meth:`buffered_random`; hot loops inline the
-        fast path as ``buf.pop() if buf else rng.refill_uniforms()``
-        with ``buf = rng._buffer`` hoisted.  Fresh draws are spliced in
-        *behind* any values still buffered (there are none on the
-        inlined path), so draw order is preserved unconditionally.
-        """
-        r = self.random
-        fresh = [r() for _ in range(UNIFORM_BATCH)]
-        fresh.reverse()
-        buf = self._buffer
-        buf[:0] = fresh
-        return buf.pop()
-
-    def buffered_random(self) -> float:
-        """The next raw uniform, served from the prefetch buffer.
-
-        Returns exactly the value ``random()`` would have — the buffer
-        only changes *when* the underlying generator is advanced, never
-        the sequence a consumer observes.
-        """
-        buf = self._buffer
-        return buf.pop() if buf else self.refill_uniforms()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RngStream({self.name!r}, seed={self.seed_value})"
@@ -160,4 +95,4 @@ class RngRegistry:
         return sorted(self._streams)
 
 
-__all__ = ["RngRegistry", "RngStream", "UNIFORM_BATCH", "derive_seed"]
+__all__ = ["RngRegistry", "RngStream", "derive_seed"]

@@ -21,7 +21,6 @@ shared kernel.
 
 from __future__ import annotations
 
-from math import log as _log
 from typing import List
 
 from ..errors import WorkloadError
@@ -34,11 +33,7 @@ def arrival_times(process: str, count: int, rate: float, rng) -> List[float]:
     """Arrival times for ``count`` payments at offered load ``rate``.
 
     ``rng`` is a :class:`random.Random`-compatible stream (only the
-    Poisson process draws from it).  When the stream offers batched
-    raw-uniform draws (:meth:`~repro.sim.rng.RngStream.fill_uniforms`),
-    the whole exponential-gap schedule is derived from one batch —
-    ``-log(1 - u) / rate`` is exactly CPython's ``expovariate(rate)``,
-    so the times are bit-identical to the scalar loop either way.
+    Poisson process draws from it).
     """
     if count < 0:
         raise WorkloadError(f"payment count must be >= 0, got {count}")
@@ -49,15 +44,9 @@ def arrival_times(process: str, count: int, rate: float, rng) -> List[float]:
     if process == "poisson":
         times: List[float] = []
         t = 0.0
-        fill = getattr(rng, "fill_uniforms", None)
-        if fill is not None:
-            for u in fill(count):
-                t += -_log(1.0 - u) / rate
-                times.append(t)
-        else:
-            for _ in range(count):
-                t += rng.expovariate(rate)
-                times.append(t)
+        for _ in range(count):
+            t += rng.expovariate(rate)
+            times.append(t)
         return times
     raise WorkloadError(
         f"unknown arrival process {process!r}; "

@@ -154,6 +154,7 @@ class WorkloadSpec:
             PROTOCOLS,
             TIMINGS,
             check_adversary,
+            check_sweep_options,
             check_topology,
         )
 
@@ -180,6 +181,9 @@ class WorkloadSpec:
             # Accepts registry names and pattern families alike, so a
             # workload can sweep ``crash-restart-<point>-d<D>`` cells.
             check_adversary(self.adversary)
+            check_sweep_options(
+                self.protocols, (self.rho,), (self.horizon,), self.overrides
+            )
         except ScenarioError as exc:
             raise WorkloadError(str(exc)) from None
         for kind, _weight in self.topology_mix:
@@ -193,21 +197,6 @@ class WorkloadSpec:
             raise WorkloadError(
                 f"pool capacity must be >= 1, got {self.liquidity}"
             )
-        for protocol, options in self.overrides.items():
-            if protocol not in self.protocols:
-                raise WorkloadError(
-                    f"override target {protocol!r} is not in this workload's "
-                    "protocols"
-                )
-            from ..scenarios.registry import protocol_defaults
-
-            known = protocol_defaults(protocol).known_options
-            for option in options:
-                if option not in known:
-                    raise WorkloadError(
-                        f"unknown option {protocol}.{option}; "
-                        f"known: {', '.join(known)}"
-                    )
 
     def cell_options(self, protocol: str) -> Dict[str, Any]:
         """The option payload one (protocol, load) cell carries."""

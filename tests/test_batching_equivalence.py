@@ -1,113 +1,55 @@
-"""Batched hot-path equivalence: same floats, fewer Python frames.
+"""Draw and window exactness against independent closed forms.
 
-Two of the trial hot paths now draw in batches instead of per sample:
-
-* :class:`~repro.sim.rng.RngStream` grew ``fill_uniforms`` (known draw
-  count) and ``buffered_random`` (open-ended loops, batch-prefetched),
-  consumed by the Poisson arrival schedule and the timing models'
-  jitter draws;
-* :func:`~repro.core.params.compute_params` and the graph-shape window
-  calculus evaluate over flat ``array('d')`` accumulators in one pass
-  instead of calling ``h_bound``/``h_from_hops`` per escrow.
-
-Both are admissible only if they are **bit-identical** to the scalar
-paths they replace.  These tests pin that: every comparison below is
-exact float equality against an independent scalar reference.
+The timing models, the Poisson arrival schedule and the window calculus
+each reduce to a short float formula.  These tests write that formula
+out and compare with exact float equality, so any change to the
+arithmetic or to the order of draws on a stream shows up here before
+it reaches a golden fixture.
 """
 
 from __future__ import annotations
 
 import random
 from math import log
-from typing import List
 
-from repro.core.params import (
-    TimingAssumptions,
-    compute_graph_params,
-    compute_params,
-    h_bound,
-    h_from_hops,
-)
+from repro.core.params import TimingAssumptions, compute_graph_params
 from repro.net.message import Envelope, MsgKind
 from repro.net.timing import Asynchronous, PartialSynchrony, Synchronous
 from repro.scenarios.registry import build_topology
-from repro.sim.rng import RngRegistry, RngStream, UNIFORM_BATCH, derive_seed
+from repro.sim.rng import RngRegistry, derive_seed
 from repro.workload.arrivals import arrival_times
-
-
-def _reference(stream: RngStream) -> random.Random:
-    """A plain ``random.Random`` in the same state the stream started in."""
-    return random.Random(stream.seed_value)
 
 
 def _env() -> Envelope:
     return Envelope(sender="a", recipient="b", kind=MsgKind.MONEY, send_time=0.0)
 
 
-class TestBatchedUniforms:
-    def test_fill_uniforms_matches_scalar_draws(self):
-        stream = RngRegistry(7).stream("batch")
-        ref = _reference(stream)
-        assert stream.fill_uniforms(1000) == [ref.random() for _ in range(1000)]
-
-    def test_fill_uniforms_zero_and_negative_draw_nothing(self):
-        stream = RngRegistry(7).stream("batch")
-        ref = _reference(stream)
-        assert stream.fill_uniforms(0) == []
-        assert stream.fill_uniforms(-3) == []
-        # The generator state must be untouched by empty fills.
-        assert stream.random() == ref.random()
-
-    def test_buffered_random_matches_scalar_sequence(self):
-        stream = RngRegistry(11).stream("buffered")
-        ref = _reference(stream)
-        # Cross several refill boundaries.
-        n = 2 * UNIFORM_BATCH + 37
-        assert [stream.buffered_random() for _ in range(n)] == [
-            ref.random() for _ in range(n)
-        ]
-
-    def test_fill_and_buffered_interleave_without_reordering(self):
-        stream = RngRegistry(13).stream("mixed")
-        ref = _reference(stream)
-        observed: List[float] = []
-        observed.append(stream.buffered_random())  # prefetches a batch
-        observed.extend(stream.fill_uniforms(UNIFORM_BATCH + 5))  # drains + draws
-        observed.append(stream.buffered_random())
-        observed.extend(stream.fill_uniforms(3))
-        expected = [ref.random() for _ in range(len(observed))]
-        assert observed == expected
-
-
 class TestBatchedArrivals:
+    """The Poisson schedule is a running sum of ``-log(1 - u) / rate``."""
+
     def test_poisson_schedule_bit_identical_to_scalar_expovariate(self):
         for seed, rate, count in ((0, 0.5, 1), (3, 2.0, 200), (42, 0.02, 57)):
             stream = RngRegistry(seed).stream("workload.arrivals")
             ref = random.Random(derive_seed(seed, "workload.arrivals"))
-            batched = arrival_times("poisson", count, rate, stream)
+            times = arrival_times("poisson", count, rate, stream)
             t, scalar = 0.0, []
             for _ in range(count):
-                t += ref.expovariate(rate)
+                t += -log(1.0 - ref.random()) / rate
                 scalar.append(t)
-            assert batched == scalar, (seed, rate, count)
-
-    def test_plain_random_fallback_still_supported(self):
-        a = arrival_times("poisson", 40, 1.5, random.Random(9))
-        b = arrival_times("poisson", 40, 1.5, RngStream("x", 9))
-        assert a == b
+            assert times == scalar, (seed, rate, count)
 
 
 class TestBufferedTimingDraws:
-    """Timing models consume ``network.delays`` exclusively, so the
-    batch prefetch must reproduce the scalar draw sequence exactly."""
+    """Timing models consume the ``network.delays`` stream one raw
+    uniform per sample, through the formulas written out below."""
 
     def test_synchronous_delivery_times_match_scalar_formula(self):
         model = Synchronous(delta=2.0, min_delay=0.25, jitter=0.8)
         stream = RngRegistry(5).stream("network.delays")
         ref = random.Random(derive_seed(5, "network.delays"))
-        span = model._jitter_span
+        hi = 0.25 + 0.8 * (2.0 - 0.25)
         for i in range(600):
-            expected = min(model.min_delay + span * ref.random(), model.delta)
+            expected = min(0.25 + (hi - 0.25) * ref.random(), 2.0)
             assert model.delivery_time(_env(), float(i), stream) == float(i) + expected
 
     def test_synchronous_sample_delay_matches_scalar_formula(self):
@@ -117,6 +59,14 @@ class TestBufferedTimingDraws:
         for _ in range(300):
             assert model.sample_delay(_env(), 0.0, stream) == ref.random()
 
+    def test_synchronous_without_jitter_draws_nothing(self):
+        model = Synchronous(delta=1.0, min_delay=0.5, jitter=0.0)
+        stream = RngRegistry(5).stream("network.delays")
+        ref = random.Random(derive_seed(5, "network.delays"))
+        for i in range(10):
+            assert model.delivery_time(_env(), float(i), stream) == float(i) + 0.5
+        assert stream.random() == ref.random()
+
     def test_partial_synchrony_draws_match_both_regimes(self):
         model = PartialSynchrony(gst=10.0, delta=1.0, pre_gst_scale=4.0)
         stream = RngRegistry(8).stream("network.delays")
@@ -125,9 +75,9 @@ class TestBufferedTimingDraws:
             send = float(i % 20)  # alternate pre- and post-GST sends
             got = model.sample_delay(_env(), send, stream)
             if send >= model.gst:
-                assert got == model.delta * ref.random()
+                assert got == 1.0 * ref.random()
             else:
-                raw = ref.expovariate(1.0 / (model.pre_gst_scale * model.delta))
+                raw = -log(1.0 - ref.random()) / (1.0 / (4.0 * 1.0))
                 assert got == min(raw, model.deadline(send) - send)
 
     def test_asynchronous_draws_match_scalar_expovariate(self):
@@ -136,12 +86,13 @@ class TestBufferedTimingDraws:
         ref = random.Random(derive_seed(2, "network.delays"))
         for _ in range(400):
             got = model.sample_delay(_env(), 0.0, stream)
-            assert got == min(ref.expovariate(1.0 / 3.0), 50.0)
+            assert got == min(-log(1.0 - ref.random()) / (1.0 / 3.0), 50.0)
 
 
 class TestVectorisedWindows:
-    """The flat-array window pass against the per-escrow recursion."""
+    """The graph window calculus against the closed form of ``H``."""
 
+    #: (n, Δ, ε, ρ, drift_tuned, margin)
     CASES = (
         (1, 1.0, 0.0, 0.0, True, 0.0),
         (3, 1.0, 0.1, 0.0, True, 0.0),
@@ -151,36 +102,42 @@ class TestVectorisedWindows:
         (12, 0.001, 1e-4, 0.1, True, 1e-6),
     )
 
-    def test_path_windows_bit_identical_to_per_escrow_recursion(self):
-        for n, delta, eps, rho, tuned, margin in self.CASES:
-            t = TimingAssumptions(delta=delta, epsilon=eps, rho=rho)
-            params = compute_params(n, t, drift_tuned=tuned, margin=margin)
-            inflation = (1.0 + rho) if tuned else 1.0
-            for i in range(n):
-                a = inflation * h_bound(n, i, t) + margin
-                assert params.a[i] == a, (n, i)
-                assert params.d[i] == a + 2.0 * inflation * t.epsilon + margin
+    @staticmethod
+    def _check(params, escrow, hops, t, tuned, margin):
+        # H = 2Δ + ε + h·(4Δ + 4ε), written out rather than imported.
+        h = 2 * t.delta + t.epsilon + hops * (4 * t.delta + 4 * t.epsilon)
+        inflation = (1.0 + t.rho) if tuned else 1.0
+        a = inflation * h + margin
+        assert params.a_of(escrow) == a, escrow
+        assert params.d_of(escrow) == a + 2.0 * inflation * t.epsilon + margin
 
     def test_graph_windows_bit_identical_to_per_escrow_recursion(self):
-        t = TimingAssumptions(delta=1.0, epsilon=0.1, rho=0.03)
-        margin = 0.25
-        for name in ("linear-4", "tree-2", "hub-3", "fan-in-3"):
-            graph = build_topology(name, payment_id=f"vec-{name}")
-            params = compute_graph_params(graph, t, margin=margin)
-            inflation = 1.0 + t.rho
-            for edge in graph.edges:
-                hops = graph.depth_to_sink(edge.downstream)
-                skew = max(
-                    (
-                        graph.depth_from_source(sink)
-                        for sink in graph.reachable_sinks(edge.downstream)
-                        if len(graph.in_edges(sink)) > 1
-                    ),
-                    default=0,
+        for n, delta, eps, rho, tuned, margin in self.CASES:
+            t = TimingAssumptions(delta=delta, epsilon=eps, rho=rho)
+            path = build_topology(f"linear-{n}")
+            params = compute_graph_params(path, t, drift_tuned=tuned, margin=margin)
+            for i in range(n):
+                # e_i has n-1-i hops between it and Bob.
+                self._check(params, path.escrow(i), n - 1 - i, t, tuned, margin)
+            # Latest deposit + e_0's window on a slow clock + cascade.
+            step = 2 * delta + 2 * eps
+            assert params.global_termination_bound() == (
+                n * step + eps + params.a_of(path.escrow(0)) / (1.0 - rho)
+                + (n + 1) * step
+            )
+            for name in ("tree-2", "hub-3", "fan-in-3"):
+                graph = build_topology(name, payment_id=f"win-{name}")
+                params = compute_graph_params(
+                    graph, t, drift_tuned=tuned, margin=margin
                 )
-                a = inflation * h_from_hops(hops + skew, t) + margin
-                assert params.a_of(edge.escrow) == a, (name, edge.escrow)
-                assert (
-                    params.d_of(edge.escrow)
-                    == a + 2.0 * inflation * t.epsilon + margin
-                )
+                for edge in graph.edges:
+                    hops = graph.depth_to_sink(edge.downstream)
+                    skew = max(
+                        (
+                            graph.depth_from_source(sink)
+                            for sink in graph.reachable_sinks(edge.downstream)
+                            if len(graph.in_edges(sink)) > 1
+                        ),
+                        default=0,
+                    )
+                    self._check(params, edge.escrow, hops + skew, t, tuned, margin)

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.params import TimingAssumptions, compute_params, h_bound
+from repro.core.params import TimingAssumptions, compute_graph_params, h_from_hops
 from repro.core.problem import (
     ALL_SPECS,
     PROPERTY_STATEMENTS,
@@ -69,43 +69,59 @@ class TestTopology:
         assert "c0" in text and "e1" in text and "c2" in text
 
 
+def _closed_form_h(hops, t):
+    """``H = 2Δ + ε + h·(4Δ + 4ε)``, written out rather than imported."""
+    return 2 * t.delta + t.epsilon + hops * (4 * t.delta + 4 * t.epsilon)
+
+
 class TestParams:
     def _assumptions(self, rho=0.0):
         return TimingAssumptions(delta=1.0, epsilon=0.05, rho=rho)
 
+    def _windows(self, n, t, **kwargs):
+        """Per-index ``a``/``d`` on the linear-``n`` path, ``e_0`` first."""
+        topo = PaymentTopology.linear(n)
+        params = compute_graph_params(topo, t, **kwargs)
+        escrows = [topo.escrow(i) for i in range(n)]
+        a = [params.a_of(e) for e in escrows]
+        d = [params.d_of(e) for e in escrows]
+        return params, a, d
+
     def test_h_recurrence(self):
-        t = self._assumptions()
-        # H_{n-1} = 2Δ + ε; H_i = H_{i+1} + 4Δ + 4ε
-        assert h_bound(3, 2, t) == pytest.approx(2.05)
-        assert h_bound(3, 1, t) == pytest.approx(2.05 + 4.2)
-        assert h_bound(3, 0, t) == pytest.approx(2.05 + 8.4)
+        # H_{n-1} = 2Δ + ε; H_i = H_{i+1} + 4Δ + 4ε (ρ = 0: a_i = H_i)
+        _, a, _ = self._windows(3, self._assumptions())
+        assert a[2] == pytest.approx(2.05)
+        assert a[1] == pytest.approx(2.05 + 4.2)
+        assert a[0] == pytest.approx(2.05 + 8.4)
 
     def test_windows_decrease_downstream(self):
-        params = compute_params(5, self._assumptions())
-        assert list(params.a) == sorted(params.a, reverse=True)
+        _, a, _ = self._windows(5, self._assumptions())
+        assert a == sorted(a, reverse=True)
 
     def test_drift_tuned_inflates(self):
-        naive = compute_params(3, self._assumptions(rho=0.05), drift_tuned=False)
-        tuned = compute_params(3, self._assumptions(rho=0.05), drift_tuned=True)
+        t = self._assumptions(rho=0.05)
+        _, naive_a, naive_d = self._windows(3, t, drift_tuned=False)
+        _, tuned_a, tuned_d = self._windows(3, t, drift_tuned=True)
         for i in range(3):
-            assert tuned.a_i(i) == pytest.approx(1.05 * naive.a_i(i))
-            assert tuned.d_i(i) > naive.d_i(i)
+            assert tuned_a[i] == pytest.approx(1.05 * naive_a[i])
+            assert tuned_d[i] > naive_d[i]
 
     def test_d_covers_a_plus_processing(self):
-        params = compute_params(3, self._assumptions(rho=0.02))
+        _, a, d = self._windows(3, self._assumptions(rho=0.02))
         for i in range(3):
-            assert params.d_i(i) >= params.a_i(i) + 2 * 0.05
+            assert d[i] >= a[i] + 2 * 0.05
 
     def test_margin_added_everywhere(self):
-        base = compute_params(3, self._assumptions())
-        padded = compute_params(3, self._assumptions(), margin=1.0)
+        _, base, _ = self._windows(3, self._assumptions())
+        _, padded, _ = self._windows(3, self._assumptions(), margin=1.0)
         for i in range(3):
-            assert padded.a_i(i) >= base.a_i(i) + 1.0
+            assert padded[i] >= base[i] + 1.0
 
     def test_global_termination_bound_exceeds_components(self):
-        params = compute_params(4, self._assumptions(rho=0.01))
-        assert params.global_termination_bound() > params.a_i(0)
-        assert params.global_termination_bound() > params.deposit_time_bound(3)
+        params, a, _ = self._windows(4, self._assumptions(rho=0.01))
+        latest_deposit = 4 * (2 * 1.0 + 2 * 0.05)  # D_3 = 4·(2Δ + 2ε)
+        assert params.global_termination_bound() > a[0]
+        assert params.global_termination_bound() > latest_deposit
 
     def test_validation(self):
         with pytest.raises(ParameterError):
@@ -115,11 +131,11 @@ class TestParams:
         with pytest.raises(ParameterError):
             TimingAssumptions(delta=1.0, epsilon=0.0, rho=1.0)
         with pytest.raises(ParameterError):
-            compute_params(0, self._assumptions())
+            compute_graph_params(
+                PaymentTopology.linear(2), self._assumptions(), margin=-1.0
+            )
         with pytest.raises(ParameterError):
-            compute_params(2, self._assumptions(), margin=-1.0)
-        with pytest.raises(ParameterError):
-            h_bound(2, 5, self._assumptions())
+            h_from_hops(-1, self._assumptions())
 
     @given(
         n=st.integers(min_value=1, max_value=12),
@@ -135,10 +151,10 @@ class TestParams:
         of the calculus (strictly > whenever margin > 0).
         """
         t = TimingAssumptions(delta=delta, epsilon=epsilon, rho=rho)
-        params = compute_params(n, t, drift_tuned=True, margin=0.0)
+        _, a, _ = self._windows(n, t, drift_tuned=True, margin=0.0)
         for i in range(n):
-            real_window = params.a_i(i) / (1.0 + rho)
-            assert real_window >= h_bound(n, i, t) - 1e-9
+            real_window = a[i] / (1.0 + rho)
+            assert real_window >= _closed_form_h(n - 1 - i, t) - 1e-9
 
 
 class TestProblemSpecs:

@@ -11,11 +11,7 @@ adversaries, leaves/depth record columns, rho/horizon axes).
 import pytest
 
 from repro.core.outcomes import PaymentOutcome
-from repro.core.params import (
-    TimingAssumptions,
-    compute_graph_params,
-    compute_params,
-)
+from repro.core.params import TimingAssumptions, compute_graph_params
 from repro.core.session import PaymentSession
 from repro.core.topology import HopEdge, PaymentGraph, PaymentTopology
 from repro.errors import ProtocolError, ScenarioError
@@ -174,18 +170,6 @@ class TestPathGraphEquivalence:
         assert a.messages_sent == b.messages_sent
         assert a.final_balances == b.final_balances
         assert a.termination_times == b.termination_times
-
-    def test_graph_windows_match_path_calculus(self):
-        t = TimingAssumptions(delta=1.0, epsilon=0.05, rho=0.02)
-        topo = PaymentTopology.linear(5)
-        graph = compute_graph_params(topo, t)
-        path = compute_params(5, t)
-        for i in range(5):
-            assert graph.a_of(topo.escrow(i)) == path.a_i(i)
-            assert graph.d_of(topo.escrow(i)) == path.d_i(i)
-        assert graph.global_termination_bound() == (
-            path.global_termination_bound()
-        )
 
     def test_tree_windows_follow_remaining_depth(self):
         t = TimingAssumptions(delta=1.0, epsilon=0.05)

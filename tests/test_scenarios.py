@@ -444,6 +444,36 @@ class TestSweepFrontEnd:
             main([command] + argv)
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", SWEEP_CLIS)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rho", "-0.1"], "rho must be >= 0, got -0.1"),
+            (["--horizon", "-5"], "horizon must be > 0, got -5.0"),
+            (
+                ["--protocols", "htlc", "--set", "weak.patience_setup=30"],
+                "override targets protocol 'weak', which is not on the "
+                "protocols axis ['htlc']",
+            ),
+            (
+                ["--protocols", "htlc", "--set", "htlc.dleta=2"],
+                "protocol 'htlc' has no option 'dleta'; known options: "
+                "['delta', 'epsilon', 'give_up_margin', 'step']",
+            ),
+        ],
+        ids=["negative-rho", "negative-horizon", "set-target", "set-option"],
+    )
+    def test_spec_options_validate_identically(
+        self, capsys, command, argv, message
+    ):
+        """rho, horizon and --set go through one check in both specs."""
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exit_info:
+            main([command] + argv)
+        assert exit_info.value.code == 2
+        assert f"error: {message}\n" in capsys.readouterr().err
+
     def test_both_parsers_carry_the_shared_flags(self):
         from repro.runtime.frontend import RUN_FLAGS
         from repro.scenarios.cli import cli_flags as campaign_flags

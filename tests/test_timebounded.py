@@ -76,7 +76,7 @@ class TestBoundaries:
     def test_chi_just_inside_window_commits(self):
         # Delay Bob's chi so it arrives close to (but within) a_{n-1}.
         session, probe = _run(n=2, seed=0)
-        a_last = session.protocol_instance.params.a_i(1)
+        a_last = session.protocol_instance.params.a_of(session.topology.escrow(1))
         adversary = FirstWindowAdversary(MsgKind.CERTIFICATE, delay=a_last * 0.9, count=1)
         topo = PaymentTopology.linear(2, payment_id="boundary-in")
         outcome = PaymentSession(
