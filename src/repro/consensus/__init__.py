@@ -1,7 +1,7 @@
 """Partially synchronous consensus substrate for the notary-committee
 transaction manager (Theorem 3)."""
 
-from .committee import PaymentNotary, QuorumAssembler
+from .committee import QuorumAssembler
 from .dls import Notary, NotaryBehavior
 from .messages import ConsensusMsg, Phase
 
@@ -9,7 +9,6 @@ __all__ = [
     "ConsensusMsg",
     "Notary",
     "NotaryBehavior",
-    "PaymentNotary",
     "Phase",
     "QuorumAssembler",
 ]

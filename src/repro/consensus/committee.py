@@ -1,98 +1,22 @@
-"""Payment-aware notaries and quorum-certificate assembly.
-
-:class:`PaymentNotary` extends the plain consensus
-:class:`~repro.consensus.dls.Notary` with the transaction-manager input
-rule: it consumes the weak-liveness protocol's signed reports and
-requests, forms a justified preference, and feeds it into consensus.
+"""Quorum-certificate assembly.
 
 :class:`QuorumAssembler` is the participant-side helper: it collects
 signed DECIDE votes from notaries and yields a
 :class:`~repro.crypto.certificates.QuorumCertificate` once ``2f+1``
-distinct valid votes agree.
+distinct valid votes agree.  The notary that feeds the transaction
+manager's decision rule into consensus,
+:class:`~repro.protocols.weak.tm.PaymentNotary`, lives with the other
+TM realisations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from typing import Dict, List, Optional
 
 from ..crypto.certificates import Decision, QuorumCertificate, Vote
 from ..crypto.keys import KeyRing
-from ..crypto.signatures import SignedClaim
 from ..net.message import Envelope, MsgKind
-from .dls import Notary
 from .messages import ConsensusMsg, Phase
-
-
-class PaymentNotary(Notary):
-    """A notary that also implements the TM decision rule.
-
-    Extra parameters
-    ----------------
-    escrows:
-        Names of the escrows whose "escrowed" reports are required.
-    beneficiary:
-        The sink customers whose commit requests count — Bob alone on
-        a path; every sink on a payment DAG (one name or a sequence).
-    """
-
-    def __init__(
-        self,
-        *args: Any,
-        escrows: List[str],
-        beneficiary: Union[str, Sequence[str]],
-        **kwargs: Any,
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        self.escrows = list(escrows)
-        self.beneficiaries = (
-            [beneficiary] if isinstance(beneficiary, str) else list(beneficiary)
-        )
-        self.reported: Set[str] = set()
-        self.commit_requests: Set[str] = set()
-        self.abort_requested = False
-
-    # -- protocol inputs -----------------------------------------------------
-
-    def handle_message(self, message: Envelope) -> None:
-        if message.kind is MsgKind.CONSENSUS:
-            super().handle_message(message)
-            return
-        claim = message.payload
-        if not isinstance(claim, SignedClaim):
-            return
-        if not claim.valid(self.keyring, expected_signer=message.sender):
-            return
-        if claim.get("payment_id") != self.payment_id:
-            return
-        if message.kind is MsgKind.ESCROWED and message.sender in self.escrows:
-            self.reported.add(message.sender)
-        elif (
-            message.kind is MsgKind.COMMIT_REQUEST
-            and message.sender in self.beneficiaries
-        ):
-            self.commit_requests.add(message.sender)
-        elif message.kind is MsgKind.ABORT_REQUEST:
-            self.abort_requested = True
-        self._update_preference()
-
-    def _update_preference(self) -> None:
-        commit_requested = len(self.commit_requests) == len(self.beneficiaries)
-        evidence = {
-            "commit_requested": commit_requested,
-            "abort_requested": self.abort_requested,
-            "reported": sorted(self.reported),
-        }
-        if self.abort_requested:
-            self.abort_justified = True
-        if commit_requested and len(self.reported) == len(self.escrows):
-            self.commit_justified = True
-        if self.preference is None:
-            if self.abort_justified:
-                self.submit_preference(Decision.ABORT, evidence)
-            elif self.commit_justified:
-                self.submit_preference(Decision.COMMIT, evidence)
-        else:
-            self.evidence.update(evidence)
 
 
 class QuorumAssembler:
@@ -145,4 +69,4 @@ class QuorumAssembler:
         return len(self._votes[decision])
 
 
-__all__ = ["PaymentNotary", "QuorumAssembler"]
+__all__ = ["QuorumAssembler"]

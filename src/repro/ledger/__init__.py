@@ -1,16 +1,10 @@
 """Value substrate: assets, accounts, escrow ledgers, blockchains,
-and standard contracts."""
+and the certified-broadcast contract."""
 
 from .account import Account
 from .asset import Amount, amount
 from .blockchain import Block, CallContext, Contract, Receipt, SimpleChain, Transaction
-from .contracts import (
-    CertifiedBroadcastContract,
-    HTLCContract,
-    HTLCLock,
-    PublicationRecord,
-    TransactionManagerContract,
-)
+from .contracts import CertifiedBroadcastContract, PublicationRecord
 from .ledger import EscrowLock, Ledger, LockState
 
 __all__ = [
@@ -21,14 +15,11 @@ __all__ = [
     "CertifiedBroadcastContract",
     "Contract",
     "EscrowLock",
-    "HTLCContract",
-    "HTLCLock",
     "Ledger",
     "LockState",
     "PublicationRecord",
     "Receipt",
     "SimpleChain",
     "Transaction",
-    "TransactionManagerContract",
     "amount",
 ]

@@ -9,8 +9,7 @@ customer" (paper §3).  :class:`SimpleChain` supplies that substrate:
 * a transaction's effects are *final* once ``confirmations`` further
   blocks exist; observers are notified at finality, not at inclusion —
   modelling the reorg-safety waiting period of real chains;
-* contracts are deterministic state machines executed in block order,
-  with access to the chain's own :class:`~repro.ledger.ledger.Ledger`.
+* contracts are deterministic state machines executed in block order.
 
 The chain is also a :class:`~repro.sim.process.Process`, so remote
 participants can interact with it through the network (submission via
@@ -21,7 +20,7 @@ participants can interact with it through the network (submission via
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import BlockchainError, ContractError
@@ -29,7 +28,6 @@ from ..net.message import Envelope, MsgKind
 from ..sim.kernel import Simulator
 from ..sim.process import Process
 from ..sim.trace import TraceKind
-from .ledger import Ledger
 
 _TX_SEQ = itertools.count()
 
@@ -77,7 +75,6 @@ class Receipt:
 class CallContext:
     """Environment visible to a contract during execution."""
 
-    chain: "SimpleChain"
     sender: str
     block_height: int
     block_time: float
@@ -100,7 +97,7 @@ class Contract:
 
 
 class SimpleChain(Process):
-    """A block-producing process hosting contracts and a ledger.
+    """A block-producing process hosting contracts.
 
     Parameters
     ----------
@@ -128,7 +125,6 @@ class SimpleChain(Process):
             raise BlockchainError("confirmations must be >= 0")
         self.block_interval = float(block_interval)
         self.confirmations = int(confirmations)
-        self.ledger = Ledger(name=f"{name}.ledger", sim=sim)
         self.blocks: List[Block] = []
         self.receipts: Dict[int, Receipt] = {}
         self._mempool: List[Transaction] = []
@@ -260,7 +256,7 @@ class SimpleChain(Process):
         final_at: float,
         ctx_base: Dict[str, Any],
     ) -> Receipt:
-        ctx = CallContext(chain=self, sender=tx.sender, **ctx_base)
+        ctx = CallContext(sender=tx.sender, **ctx_base)
         try:
             result = self._contracts[tx.contract].call(ctx, tx.method, tx.args)
             return Receipt(
@@ -287,10 +283,6 @@ class SimpleChain(Process):
     def height(self) -> int:
         """Number of produced blocks."""
         return len(self.blocks)
-
-    def finalized_height(self) -> int:
-        """Highest block height whose contents are final."""
-        return max(-1, self.height - 1 - self.confirmations)
 
     def time_to_finality(self) -> float:
         """Worst-case delay from submission to finality.

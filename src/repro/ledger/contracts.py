@@ -1,222 +1,19 @@
-"""Standard contracts: transaction manager, HTLC, certified broadcast.
+"""The certified-broadcast contract.
 
-Three contracts cover the paper's on-chain needs:
-
-* :class:`TransactionManagerContract` — the Definition 2 transaction
-  manager as a smart contract.  Certificate consistency (CC) holds *by
-  construction*: the decision field is written once, and block execution
-  is serial.
-* :class:`HTLCContract` — hashed timelock escrow used by the baseline
-  protocols (Interledger atomic mode; Herlihy timelock commit).
-* :class:`CertifiedBroadcastContract` — an append-only publication log
-  modelling the "certified blockchain" of Herlihy–Liskov–Shrira: anyone
-  can publish a record and later prove publication (the chain's receipt
-  acts as the certificate).
+:class:`CertifiedBroadcastContract` is an append-only publication log
+modelling the "certified blockchain" of Herlihy–Liskov–Shrira: anyone
+can publish a record and later prove publication (the chain's receipt
+acts as the certificate).  The transaction-manager contract lives with
+the other TM realisations in :mod:`repro.protocols.weak.tm`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Set, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List
 
 from ..errors import ContractError
-from ..crypto.certificates import Decision
-from ..crypto.hashlock import HashLock, Preimage
-from .asset import Amount
 from .blockchain import CallContext, Contract
-
-
-class TransactionManagerContract(Contract):
-    """On-chain transaction manager for the weak-liveness protocol.
-
-    State machine::
-
-        OPEN ──(all escrows reported + commit requested)──▶ COMMIT
-        OPEN ──(abort requested)───────────────────────────▶ ABORT
-
-    The first satisfied rule wins; afterwards the decision is frozen.
-    ``escrowed`` reports are only accepted from the registered escrows;
-    ``request_commit`` only from the registered beneficiaries (Bob on a
-    path, every sink on a payment DAG — ``beneficiary`` accepts one
-    name or a sequence) — matching the paper, where the commit
-    certificate is what *Alice* uses as proof that the recipients have
-    been paid, so each of them must have asked.
-
-    Methods
-    -------
-    ``escrowed(escrow)``, ``request_commit()``, ``request_abort()``,
-    ``status()``.
-    """
-
-    def __init__(
-        self,
-        address: str,
-        payment_id: str,
-        escrows: List[str],
-        beneficiary: Union[str, Sequence[str]],
-    ) -> None:
-        super().__init__(address)
-        if not escrows:
-            raise ContractError("transaction manager needs at least one escrow")
-        self.payment_id = payment_id
-        self.escrows = list(escrows)
-        self.beneficiaries = (
-            [beneficiary] if isinstance(beneficiary, str) else list(beneficiary)
-        )
-        self.reported: Set[str] = set()
-        self.commit_requests: Set[str] = set()
-        self.decision: Optional[Decision] = None
-        self.decided_at_height: Optional[int] = None
-
-    def call(self, ctx: CallContext, method: str, args: Dict[str, Any]) -> Any:
-        if method == "escrowed":
-            return self._escrowed(ctx)
-        if method == "request_commit":
-            return self._request_commit(ctx)
-        if method == "request_abort":
-            return self._request_abort(ctx)
-        if method == "status":
-            return self._status()
-        raise ContractError(f"{self.address}: unknown method {method!r}")
-
-    def _escrowed(self, ctx: CallContext) -> Dict[str, Any]:
-        if ctx.sender not in self.escrows:
-            raise ContractError(f"{ctx.sender!r} is not a registered escrow")
-        self.reported.add(ctx.sender)
-        self._maybe_decide(ctx)
-        return self._status()
-
-    def _request_commit(self, ctx: CallContext) -> Dict[str, Any]:
-        if ctx.sender not in self.beneficiaries:
-            raise ContractError(
-                f"only {self.beneficiaries!r} may request commit, "
-                f"not {ctx.sender!r}"
-            )
-        self.commit_requests.add(ctx.sender)
-        self._maybe_decide(ctx)
-        return self._status()
-
-    def _request_abort(self, ctx: CallContext) -> Dict[str, Any]:
-        if self.decision is None:
-            self.decision = Decision.ABORT
-            self.decided_at_height = ctx.block_height
-        return self._status()
-
-    def _maybe_decide(self, ctx: CallContext) -> None:
-        if self.decision is None and len(self.commit_requests) == len(
-            self.beneficiaries
-        ) and len(self.reported) == len(self.escrows):
-            self.decision = Decision.COMMIT
-            self.decided_at_height = ctx.block_height
-
-    def _status(self) -> Dict[str, Any]:
-        return {
-            "payment_id": self.payment_id,
-            "decision": self.decision.value if self.decision else None,
-            "reported": sorted(self.reported),
-            "commit_requested": len(self.commit_requests)
-            == len(self.beneficiaries),
-        }
-
-
-@dataclass
-class HTLCLock:
-    """One hashed-timelock escrow entry."""
-
-    lock_id: str
-    depositor: str
-    beneficiary: str
-    amount: Amount
-    hashlock: HashLock
-    deadline: float
-    state: str = "held"  # held | claimed | refunded
-
-
-class HTLCContract(Contract):
-    """Hashed timelock escrow over the chain's ledger.
-
-    Methods
-    -------
-    ``lock(lock_id, beneficiary, amount, hashlock, deadline)``
-        Debits the sender and holds the value under a hash + deadline.
-    ``claim(lock_id, preimage)``
-        Beneficiary presents the preimage strictly before the deadline.
-    ``refund(lock_id)``
-        After the deadline, value returns to the depositor.
-    """
-
-    def __init__(self, address: str) -> None:
-        super().__init__(address)
-        self.locks: Dict[str, HTLCLock] = {}
-
-    def call(self, ctx: CallContext, method: str, args: Dict[str, Any]) -> Any:
-        if method == "lock":
-            return self._lock(ctx, args)
-        if method == "claim":
-            return self._claim(ctx, args)
-        if method == "refund":
-            return self._refund(ctx, args)
-        if method == "status":
-            lock = self._get(args["lock_id"])
-            return {"state": lock.state, "deadline": lock.deadline}
-        raise ContractError(f"{self.address}: unknown method {method!r}")
-
-    def _get(self, lock_id: str) -> HTLCLock:
-        try:
-            return self.locks[lock_id]
-        except KeyError:
-            raise ContractError(f"unknown HTLC lock {lock_id!r}") from None
-
-    def _lock(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock_id: str = args["lock_id"]
-        if lock_id in self.locks:
-            raise ContractError(f"duplicate HTLC lock {lock_id!r}")
-        amount: Amount = args["amount"]
-        hashlock: HashLock = args["hashlock"]
-        deadline: float = float(args["deadline"])
-        beneficiary: str = args["beneficiary"]
-        ledger = ctx.chain.ledger
-        ledger.open_account(beneficiary)
-        ledger.escrow_deposit(
-            depositor=ctx.sender,
-            beneficiary=beneficiary,
-            amt=amount,
-            lock_id=f"{self.address}/{lock_id}",
-        )
-        self.locks[lock_id] = HTLCLock(
-            lock_id=lock_id,
-            depositor=ctx.sender,
-            beneficiary=beneficiary,
-            amount=amount,
-            hashlock=hashlock,
-            deadline=deadline,
-        )
-        return lock_id
-
-    def _claim(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock = self._get(args["lock_id"])
-        preimage: Preimage = args["preimage"]
-        if lock.state != "held":
-            raise ContractError(f"lock {lock.lock_id!r} already {lock.state}")
-        if ctx.sender != lock.beneficiary:
-            raise ContractError("only the beneficiary may claim")
-        if ctx.block_time >= lock.deadline:
-            raise ContractError("claim after deadline")
-        if not lock.hashlock.matches(preimage):
-            raise ContractError("preimage does not match hash-lock")
-        lock.state = "claimed"
-        ctx.chain.ledger.escrow_release(f"{self.address}/{lock.lock_id}")
-        return "claimed"
-
-    def _refund(self, ctx: CallContext, args: Dict[str, Any]) -> str:
-        lock = self._get(args["lock_id"])
-        if lock.state != "held":
-            raise ContractError(f"lock {lock.lock_id!r} already {lock.state}")
-        if ctx.block_time < lock.deadline:
-            raise ContractError("refund before deadline")
-        lock.state = "refunded"
-        ctx.chain.ledger.escrow_refund(f"{self.address}/{lock.lock_id}")
-        return "refunded"
 
 
 @dataclass(frozen=True)
@@ -258,10 +55,4 @@ class CertifiedBroadcastContract(Contract):
         raise ContractError(f"{self.address}: unknown method {method!r}")
 
 
-__all__ = [
-    "CertifiedBroadcastContract",
-    "HTLCContract",
-    "HTLCLock",
-    "PublicationRecord",
-    "TransactionManagerContract",
-]
+__all__ = ["CertifiedBroadcastContract", "PublicationRecord"]

@@ -14,7 +14,7 @@ blockchains, transaction managers, notaries — which may run forever.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Any, ClassVar, Dict, FrozenSet, List, Type
+from typing import Any, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Type
 
 from ..core.session import PaymentEnv
 from ..errors import ProtocolError
@@ -43,6 +43,18 @@ class PaymentProtocol(ABC):
     #: layer skips crash-restart cells of protocols that do not declare
     #: it, with a reason, exactly like ``supported_topologies``.
     supports_recovery: ClassVar[bool] = False
+
+    @classmethod
+    def recovery_gap(cls, options: Mapping[str, Any]) -> Optional[str]:
+        """Why a crashed participant cannot recover under ``options``.
+
+        ``None`` when it can.  The crash-restart gate reads this with a
+        cell's merged protocol options, so a protocol whose recovery
+        depends on an option (the weak protocol's ``tm``) says so here.
+        """
+        if cls.supports_recovery:
+            return None
+        return f"protocol {cls.name!r} does not declare supports_recovery"
 
     def __init__(self, env: PaymentEnv) -> None:
         self.env = env
@@ -121,28 +133,20 @@ def check_supported(topology: Any, protocol: Any) -> None:
         )
 
 
+def protocol_class(name: str) -> Type["PaymentProtocol"]:
+    """The protocol class registered under ``name``."""
+    _ensure_builtins_loaded()
+    try:
+        return _REGISTRY[name]
+    except KeyError:
+        raise ProtocolError(
+            f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}"
+        ) from None
+
+
 def protocol_capabilities(name: str) -> FrozenSet[str]:
     """The ``supported_topologies`` declaration of a registered protocol."""
-    _ensure_builtins_loaded()
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return cls.supported_topologies
-
-
-def protocol_supports_recovery(name: str) -> bool:
-    """The ``supports_recovery`` declaration of a registered protocol."""
-    _ensure_builtins_loaded()
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return cls.supports_recovery
+    return protocol_class(name).supported_topologies
 
 
 _REGISTRY: Dict[str, Type[PaymentProtocol]] = {}
@@ -166,14 +170,7 @@ def available_protocols() -> List[str]:
 
 def create_protocol(name: str, env: PaymentEnv) -> PaymentProtocol:
     """Instantiate a registered protocol by name."""
-    _ensure_builtins_loaded()
-    try:
-        cls = _REGISTRY[name]
-    except KeyError:
-        raise ProtocolError(
-            f"unknown protocol {name!r}; available: {sorted(_REGISTRY)}"
-        ) from None
-    return cls(env)
+    return protocol_class(name)(env)
 
 
 def _ensure_builtins_loaded() -> None:
@@ -190,7 +187,7 @@ __all__ = [
     "check_supported",
     "create_protocol",
     "protocol_capabilities",
-    "protocol_supports_recovery",
+    "protocol_class",
     "register_protocol",
     "topology_traits",
 ]

@@ -12,13 +12,14 @@ even if everyone was willing.
 
 Structure here:
 
-* a :class:`~repro.ledger.blockchain.SimpleChain` hosts the
+* a :class:`~repro.protocols.weak.tm.ChainBackend` hosts the
   :class:`~repro.ledger.contracts.CertifiedBroadcastContract`;
 * participants publish :class:`~repro.crypto.signatures.SignedClaim`
   votes via transactions;
-* a chain-local observer replays the finalised log through the decision
-  rule (first abort before commit-completion wins) and broadcasts the
-  decision certificate, citing the deciding publication record;
+* a chain-local observer replays the finalised log through the TM
+  decision rule (:class:`~repro.protocols.weak.tm.TMVotes`: the first
+  abort before commit-completion wins) and announces the decision
+  certificate;
 * escrows/customers are the weak-liveness participants — the two
   protocols share their on-decision behaviour, which is exactly the
   correspondence the paper draws.
@@ -26,192 +27,62 @@ Structure here:
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Set, Union
+from typing import Any, Dict, Mapping, Optional, Tuple
 
-from ...crypto.certificates import Decision, DecisionCertificate
+from ...crypto.certificates import Decision
 from ...crypto.signatures import SignedClaim
-from ...errors import ProtocolError
-from ...ledger.blockchain import Receipt, SimpleChain
-from ...ledger.contracts import CertifiedBroadcastContract, PublicationRecord
+from ...ledger.blockchain import Contract, Receipt, SimpleChain
+from ...ledger.contracts import CertifiedBroadcastContract
 from ...net.message import MsgKind
-from ...sim.process import Process
-from ...sim.trace import TraceKind
 from ..base import register_protocol
 from ..weak.protocol import WeakLivenessProtocol
-from ..weak.tm import (
-    DecisionListener,
-    TMBackend,
-    _SingleIssuerListener,
-    as_beneficiaries,
-)
+from ..weak.tm import ChainAgent, ChainBackend, TMBackend, TMVotes, valid_claim
 
 
-class CBCObserver(Process):
-    """Replays the certified log and broadcasts the derived decision."""
+class CBCObserver(ChainAgent):
+    """Replays the certified log and announces the derived decision."""
 
     def __init__(
-        self,
-        sim: Any,
-        name: str,
-        network: Any,
-        chain: SimpleChain,
-        log_address: str,
-        keyring: Any,
-        identity: Any,
-        payment_id: str,
-        escrows: List[str],
-        beneficiary: Union[str, Sequence[str]],
-        participants: List[str],
+        self, env: Any, name: str, chain: SimpleChain, contract_address: str
     ) -> None:
-        super().__init__(sim, name)
-        self.network = network
-        self.chain = chain
-        self.log_address = log_address
-        self.keyring = keyring
-        self.identity = identity
-        self.payment_id = payment_id
-        self.escrows = list(escrows)
-        self.beneficiaries = as_beneficiaries(beneficiary)
-        self.participants = list(participants)
-        self.broadcasted = False
-        self.decision: Optional[Decision] = None
-        chain.subscribe_finality(self._on_finality)
+        super().__init__(env, name, chain, contract_address)
+        self.keyring = env.keyring
+        self.escrows = env.topology.escrows()
+        self.sinks = env.topology.sinks()
 
-    def handle_message(self, message: Any) -> None:
-        # Recovery requery: re-serve the derived decision to a restored
-        # participant that missed the one-shot broadcast while crashed.
-        payload = message.payload
-        if (
-            message.kind is MsgKind.CONTROL
-            and isinstance(payload, dict)
-            and payload.get("op") == "decision_query"
-            and self.decision is not None
-        ):
-            cert = DecisionCertificate.issue(
-                self.identity, self.payment_id, self.decision
-            )
-            self.network.send(self, message.sender, MsgKind.DECISION, cert)
-
-    def _on_finality(self, receipt: Receipt) -> None:
-        if self.broadcasted or not receipt.ok:
-            return
-        if receipt.tx.contract != self.log_address:
-            return
-        contract = self.chain.contract(self.log_address)
-        assert isinstance(contract, CertifiedBroadcastContract)
-        decision = self._derive(contract.log, up_to_height=receipt.block_height)
-        if decision is None:
-            return
-        self.broadcasted = True
-        self.decision = decision
-        cert = DecisionCertificate.issue(self.identity, self.payment_id, decision)
-        self.sim.trace.record(
-            self.sim.now, TraceKind.CERT_ISSUED, self.name, cert=decision.value
-        )
-        for participant in self.participants:
-            self.network.send(self, participant, MsgKind.DECISION, cert)
-
-    def _derive(
-        self, log: List[PublicationRecord], up_to_height: int
-    ) -> Optional[Decision]:
-        """Decision rule over the published-and-final prefix of the log."""
-        reported: Set[str] = set()
-        commit_requests: Set[str] = set()
-        for record in log:
-            if record.height > up_to_height:
+    def decide(self, receipt: Receipt, contract: Any) -> Optional[Decision]:
+        """Replay the published-and-final prefix of the log through a
+        fresh :class:`~repro.protocols.weak.tm.TMVotes`."""
+        if not receipt.ok:
+            return None
+        votes = TMVotes(self.escrows, self.sinks)
+        for record in contract.log:
+            if record.height > receipt.block_height:
                 break
             claim = record.payload
-            if not isinstance(claim, SignedClaim):
-                continue
-            if not claim.valid(self.keyring, expected_signer=record.publisher):
-                continue
-            if claim.get("payment_id") != self.payment_id:
-                continue
-            kind = claim.get("kind")
-            if kind == "abort_request":
-                return Decision.ABORT
-            if kind == "escrowed" and record.publisher in self.escrows:
-                reported.add(record.publisher)
-            elif (
-                kind == "commit_request"
-                and record.publisher in self.beneficiaries
-            ):
-                commit_requests.add(record.publisher)
-            if len(commit_requests) == len(self.beneficiaries) and len(
-                reported
-            ) == len(self.escrows):
-                return Decision.COMMIT
+            if valid_claim(claim, self.keyring, record.publisher, self.payment_id):
+                decision = votes.add(claim.get("kind"), record.publisher)
+                if decision is not None:
+                    return decision
         return None
 
 
-class CBCBackend(TMBackend):
+class CBCBackend(ChainBackend):
     """Votes as certified publications; decisions from the log order."""
 
-    def __init__(self, block_interval: float = 1.0, confirmations: int = 2) -> None:
-        self.block_interval = block_interval
-        self.confirmations = confirmations
-        self.chain_name = "cbc"
-        self.observer_name = "cbcobserver"
-        self.log_address = "log"
-        self._keyring: Any = None
-        self._payment_id: str = ""
+    chain_name = "cbc"
+    server = "cbcobserver"
+    contract_address = "log"
+    agent = CBCObserver
 
-    def build(self, protocol: Any) -> None:
-        env = protocol.env
-        topo = env.topology
-        self._keyring = env.keyring
-        self._payment_id = topo.payment_id
-        chain = SimpleChain(
-            env.sim,
-            self.chain_name,
-            block_interval=self.block_interval,
-            confirmations=self.confirmations,
-        )
-        chain.deploy(CertifiedBroadcastContract(address=self.log_address))
-        observer = CBCObserver(
-            sim=env.sim,
-            name=self.observer_name,
-            network=env.network,
-            chain=chain,
-            log_address=self.log_address,
-            keyring=env.keyring,
-            identity=env.identity_of(self.observer_name),
-            payment_id=topo.payment_id,
-            escrows=topo.escrows(),
-            beneficiary=topo.sinks(),
-            participants=topo.participants(),
-        )
-        protocol.add_infrastructure(chain)
-        protocol.add_infrastructure(observer)
+    def _contract(self, topology: Any) -> Contract:
+        return CertifiedBroadcastContract(address=self.contract_address)
 
-    _KINDS = {
-        MsgKind.ESCROWED: "escrowed",
-        MsgKind.COMMIT_REQUEST: "commit_request",
-        MsgKind.ABORT_REQUEST: "abort_request",
-    }
-
-    def report(self, process: Process, kind: MsgKind, claim: SignedClaim) -> None:
-        if kind not in self._KINDS:
-            raise ProtocolError(f"CBC backend cannot route {kind!r}")
-        process.network.send(  # type: ignore[attr-defined]
-            process,
-            self.chain_name,
-            MsgKind.CONTROL,
-            {
-                "op": "submit_tx",
-                "contract": self.log_address,
-                "method": "publish",
-                "args": {"payload": claim},
-            },
-        )
-
-    def make_listener(self) -> DecisionListener:
-        return _SingleIssuerListener(self._keyring, self.observer_name, self._payment_id)
-
-    def requery(self, process: Process) -> None:
-        process.network.send(  # type: ignore[attr-defined]
-            process, self.observer_name, MsgKind.CONTROL, {"op": "decision_query"}
-        )
+    def _transaction(
+        self, kind: MsgKind, claim: SignedClaim
+    ) -> Tuple[str, Dict[str, Any]]:
+        # The observer replays the claim's own signed ``kind``.
+        return "publish", {"payload": claim}
 
 
 @register_protocol
@@ -224,13 +95,13 @@ class CertifiedCommitProtocol(WeakLivenessProtocol):
 
     name = "certified"
 
-    def build(self) -> None:
-        backend = CBCBackend(
-            block_interval=float(self.option("block_interval", 1.0)),
-            confirmations=int(self.option("confirmations", 2)),
+    @classmethod
+    def tm_backend(cls, options: Mapping[str, Any]) -> TMBackend:
+        # SimpleChain validates and converts both values when built.
+        return CBCBackend(
+            block_interval=options.get("block_interval", 1.0),
+            confirmations=options.get("confirmations", 2),
         )
-        self.env.config.setdefault("options", {})["tm"] = backend
-        super().build()
 
 
 __all__ = ["CBCBackend", "CBCObserver", "CertifiedCommitProtocol"]

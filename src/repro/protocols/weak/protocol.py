@@ -20,7 +20,7 @@ for customers; the TM's own faults are configured on the backend
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ...errors import ProtocolError
 from ..base import PaymentProtocol, check_supported, register_protocol
@@ -48,11 +48,22 @@ class WeakLivenessProtocol(PaymentProtocol):
     # 2PC participant, re-query the TM for the verdict on restore.
     supports_recovery = True
 
+    @classmethod
+    def tm_backend(cls, options: Mapping[str, Any]) -> TMBackend:
+        """The transaction manager ``options`` select."""
+        return make_backend(options.get("tm", "trusted"))
+
+    @classmethod
+    def recovery_gap(cls, options: Mapping[str, Any]) -> Optional[str]:
+        if cls.tm_backend(options).server is None:
+            return f"tm={options.get('tm')} cannot re-serve a decision"
+        return super().recovery_gap(options)
+
     def build(self) -> None:
         env = self.env
         topo = env.topology
         check_supported(topo, type(self))
-        self.backend: TMBackend = make_backend(self.option("tm", "trusted"))
+        self.backend: TMBackend = self.tm_backend(self.options)
         self.backend.build(self)
 
         default_patience: Tuple[Optional[float], Optional[float]] = (

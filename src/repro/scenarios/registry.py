@@ -593,8 +593,8 @@ class ProtocolDefaults:
     known_options: Tuple[str, ...] = ()
 
 
-_WEAK_OPTIONS = (
-    "tm", "patience_setup", "patience_decision", "patience_overrides",
+_PATIENCE_OPTIONS = (
+    "patience_setup", "patience_decision", "patience_overrides",
 )
 
 PROTOCOLS: Dict[str, ProtocolDefaults] = {
@@ -618,12 +618,12 @@ PROTOCOLS: Dict[str, ProtocolDefaults] = {
             "patience_decision": 120.0,
         },
         doc="Theorem 3 weak protocol, trusted TM (Definition 2)",
-        known_options=_WEAK_OPTIONS,
+        known_options=("tm",) + _PATIENCE_OPTIONS,
     ),
     "certified": ProtocolDefaults(
         options={"patience_setup": 500.0, "patience_decision": 500.0},
-        doc="weak protocol with certified notary committee (Definition 2)",
-        known_options=_WEAK_OPTIONS + ("block_interval", "confirmations"),
+        doc="weak protocol over a certified-blockchain log (Definition 2)",
+        known_options=_PATIENCE_OPTIONS + ("block_interval", "confirmations"),
     ),
 }
 
@@ -636,6 +636,13 @@ def protocol_defaults(name: str) -> ProtocolDefaults:
         raise ScenarioError(
             f"unknown protocol {name!r}; available: {available_protocols()}"
         ) from None
+
+
+def protocol_options(
+    protocol: str, overrides: Mapping[str, Any]
+) -> Dict[str, Any]:
+    """A cell's protocol options: the campaign defaults under ``overrides``."""
+    return {**dict(protocol_defaults(protocol).options), **dict(overrides)}
 
 
 def check_sweep_options(
@@ -746,6 +753,7 @@ __all__ = [
     "make_adversary",
     "parse_crash_restart",
     "protocol_defaults",
+    "protocol_options",
     "timing_descriptor",
     "topology_shape_traits",
 ]

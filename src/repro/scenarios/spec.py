@@ -19,7 +19,7 @@ from typing import (
 )
 
 from ..errors import ProtocolError, ScenarioError
-from ..protocols.base import protocol_capabilities, protocol_supports_recovery
+from ..protocols.base import protocol_capabilities, protocol_class
 from ..runtime import SweepSpec
 from .registry import (
     check_adversary,
@@ -27,6 +27,7 @@ from .registry import (
     check_topology,
     parse_crash_restart,
     protocol_defaults,
+    protocol_options,
     timing_descriptor,
     topology_shape_traits,
 )
@@ -62,12 +63,15 @@ def unsupported_reason(protocol: str, topology: str) -> Optional[str]:
     )
 
 
-def unsupported_adversary_reason(protocol: str, adversary: str) -> Optional[str]:
+def unsupported_adversary_reason(
+    protocol: str, adversary: str, overrides: Optional[Mapping[str, Any]] = None
+) -> Optional[str]:
     """Why ``protocol`` cannot face ``adversary``, or ``None`` if it can.
 
     The ``crash-restart`` family requires the protocol's participants to
-    implement the durable-actor lifecycle, declared via
-    :attr:`~repro.protocols.base.PaymentProtocol.supports_recovery` —
+    recover under the cell's protocol options (campaign defaults with
+    ``overrides`` merged over them), as
+    :meth:`~repro.protocols.base.PaymentProtocol.recovery_gap` declares —
     the adversary analogue of :func:`unsupported_reason`.  Unknown
     names return ``None``; the regular axis validation owns those
     errors and their messages.
@@ -75,15 +79,14 @@ def unsupported_adversary_reason(protocol: str, adversary: str) -> Optional[str]
     try:
         if parse_crash_restart(adversary) is None:
             return None
-        supported = protocol_supports_recovery(protocol)
+        gap = protocol_class(protocol).recovery_gap(
+            protocol_options(protocol, overrides or {})
+        )
     except (ProtocolError, ScenarioError):
         return None
-    if supported:
+    if gap is None:
         return None
-    return (
-        f"adversary {adversary!r} needs crash recovery but protocol "
-        f"{protocol!r} does not declare supports_recovery"
-    )
+    return f"adversary {adversary!r} needs crash recovery but {gap}"
 
 
 @dataclass(frozen=True)
@@ -153,10 +156,9 @@ class ScenarioSpec:
             "topology": self.topology,
             "rho": self.rho,
             "horizon": self.horizon if self.horizon is not None else defaults.horizon,
-            "protocol_options": {
-                **dict(defaults.options),
-                **dict(self.protocol_options),
-            },
+            "protocol_options": protocol_options(
+                self.protocol, self.protocol_options
+            ),
         }
 
 
@@ -285,15 +287,20 @@ class CampaignSpec:
         """(protocol, adversary, reason) combinations the campaign skips.
 
         The adversary analogue of :meth:`unsupported_cells`: a
-        ``crash-restart`` cell of a protocol without
-        ``supports_recovery`` is skipped with a reason instead of
-        failing the campaign.
+        ``crash-restart`` cell whose protocol cannot recover under the
+        cell's options (no ``supports_recovery``, or the weak
+        protocol's ``tm=committee``) is skipped with a reason instead
+        of failing the campaign.
         """
         return [
             (protocol, adversary, reason)
             for protocol in self.protocols
             for adversary in self.adversaries
-            for reason in (unsupported_adversary_reason(protocol, adversary),)
+            for reason in (
+                unsupported_adversary_reason(
+                    protocol, adversary, self.overrides.get(protocol, {})
+                ),
+            )
             if reason is not None
         ]
 
@@ -337,10 +344,9 @@ class CampaignSpec:
     def scenarios(self) -> Iterator[ScenarioSpec]:
         """The matrix cells, validated, in declared axis order.
 
-        Protocol × topology combinations listed by
-        :meth:`unsupported_cells` are omitted; if *every* combination is
-        unsupported the campaign would silently compile to zero trials,
-        so that raises instead.
+        Cells listed by :meth:`skipped_cells` are omitted; if *every*
+        cell is skipped the campaign would silently compile to zero
+        trials, so that raises instead.
         """
         skipped = self._skipped_pairs()
         skipped_adversaries = self._skipped_adversary_pairs()
@@ -349,8 +355,8 @@ class CampaignSpec:
                 reason for _, _, reason in self.skipped_cells()
             )
             raise ScenarioError(
-                f"every protocol x topology combination is unsupported, "
-                f"nothing to run: {reasons}"
+                f"every campaign cell is unsupported, nothing to run: "
+                f"{reasons}"
             )
         for protocol, timing, adversary, topology, rho, horizon in (
             itertools.product(

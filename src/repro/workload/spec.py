@@ -157,6 +157,7 @@ class WorkloadSpec:
             check_sweep_options,
             check_topology,
         )
+        from ..scenarios.spec import unsupported_adversary_reason
 
         if not self.protocols:
             raise WorkloadError("workload needs at least one protocol")
@@ -186,6 +187,14 @@ class WorkloadSpec:
             )
         except ScenarioError as exc:
             raise WorkloadError(str(exc)) from None
+        for protocol in self.protocols:
+            # A campaign skips such a cell; a workload has no cell to
+            # skip short of dropping the whole protocol, so it refuses.
+            reason = unsupported_adversary_reason(
+                protocol, self.adversary, self.overrides.get(protocol, {})
+            )
+            if reason is not None:
+                raise WorkloadError(reason)
         for kind, _weight in self.topology_mix:
             check_topology(kind)
         if self.arrivals not in ARRIVAL_PROCESSES:
@@ -200,11 +209,13 @@ class WorkloadSpec:
 
     def cell_options(self, protocol: str) -> Dict[str, Any]:
         """The option payload one (protocol, load) cell carries."""
-        from ..scenarios.registry import protocol_defaults, timing_descriptor
+        from ..scenarios.registry import (
+            protocol_defaults,
+            protocol_options,
+            timing_descriptor,
+        )
 
         defaults = protocol_defaults(protocol)
-        merged = dict(defaults.options)
-        merged.update(self.overrides.get(protocol, {}))
         options: Dict[str, Any] = {
             "protocol": protocol,
             "timing_name": self.timing,
@@ -216,7 +227,9 @@ class WorkloadSpec:
             "liquidity": self.liquidity,
             "horizon": self.horizon if self.horizon is not None else defaults.horizon,
             "rho": self.rho,
-            "protocol_options": merged,
+            "protocol_options": protocol_options(
+                protocol, self.overrides.get(protocol, {})
+            ),
         }
         if self.audit is not None:
             options["audit"] = self.audit

@@ -3,15 +3,10 @@
 import pytest
 
 from repro.crypto.certificates import Decision
-from repro.crypto.hashlock import new_secret
-from repro.errors import BlockchainError, ContractError
-from repro.ledger.asset import Amount
+from repro.errors import BlockchainError
 from repro.ledger.blockchain import SimpleChain
-from repro.ledger.contracts import (
-    CertifiedBroadcastContract,
-    HTLCContract,
-    TransactionManagerContract,
-)
+from repro.ledger.contracts import CertifiedBroadcastContract
+from repro.protocols.weak.tm import TransactionManagerContract
 from repro.sim.kernel import Simulator
 
 
@@ -77,136 +72,41 @@ class TestChain:
 
 
 class TestTransactionManagerContract:
+    """Contract-specific checks; the decision rule itself is
+    ``tests/test_weak.py::TestTMVotes``."""
+
     def _tm(self):
         sim, chain = _chain()
         tm = TransactionManagerContract("tm", "p", escrows=["e0", "e1"], beneficiary="bob")
         chain.deploy(tm)
         return sim, chain, tm
 
-    def test_commit_after_all_reports_and_request(self):
-        sim, chain, tm = self._tm()
-        chain.submit("e0", "tm", "escrowed", {})
-        chain.submit("e1", "tm", "escrowed", {})
-        chain.submit("bob", "tm", "request_commit", {})
-        sim.run(until=2.0)
-        assert tm.decision is Decision.COMMIT
-
-    def test_commit_blocked_until_all_report(self):
-        sim, chain, tm = self._tm()
-        chain.submit("e0", "tm", "escrowed", {})
-        chain.submit("bob", "tm", "request_commit", {})
-        sim.run(until=2.0)
-        assert tm.decision is None
-
-    def test_abort_wins_when_first(self):
-        sim, chain, tm = self._tm()
-        chain.submit("anyone", "tm", "request_abort", {})
-        sim.run(until=2.0)
-        chain.submit("e0", "tm", "escrowed", {})
-        chain.submit("e1", "tm", "escrowed", {})
-        chain.submit("bob", "tm", "request_commit", {})
-        sim.run(until=4.0)
-        assert tm.decision is Decision.ABORT  # frozen
-
     def test_only_registered_escrows_may_report(self):
         sim, chain, tm = self._tm()
         tx = chain.submit("intruder", "tm", "escrowed", {})
         sim.run(until=2.0)
         assert not chain.receipts[tx.tx_id].ok
-        assert tm.reported == set()
+        assert tm.votes.reported == set()
 
     def test_only_beneficiary_may_request_commit(self):
         sim, chain, tm = self._tm()
         tx = chain.submit("eve", "tm", "request_commit", {})
         sim.run(until=2.0)
         assert not chain.receipts[tx.tx_id].ok
+        assert tm.votes.commit_requested == set()
 
-    def test_decision_is_single_assignment(self):
+    def test_decided_at_height_is_the_deciding_block(self):
         sim, chain, tm = self._tm()
-        chain.submit("x", "tm", "request_abort", {})
-        chain.submit("y", "tm", "request_abort", {})
-        sim.run(until=2.0)
-        assert tm.decision is Decision.ABORT  # no error, still abort
-
-
-class TestHTLCContract:
-    def _setup(self):
-        sim, chain = _chain()
-        htlc = HTLCContract("htlc")
-        chain.deploy(htlc)
-        chain.ledger.mint("alice", Amount("X", 100))
-        secret = new_secret("s")
-        return sim, chain, htlc, secret
-
-    def test_lock_claim(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=2.5)
-        assert chain.ledger.balance("bob", "X").units == 40
-        assert htlc.locks["L"].state == "claimed"
-
-    def test_claim_wrong_preimage_rejected(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        tx = chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": new_secret("wrong")})
-        sim.run(until=2.5)
-        assert not chain.receipts[tx.tx_id].ok
-        assert htlc.locks["L"].state == "held"
-
-    def test_claim_after_deadline_rejected(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 2.0,
-        })
-        sim.run(until=3.5)
-        tx = chain.submit("bob", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=5.0)
-        assert not chain.receipts[tx.tx_id].ok
-
-    def test_refund_only_after_deadline(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 3.0,
-        })
-        sim.run(until=1.5)
-        early = chain.submit("alice", "htlc", "refund", {"lock_id": "L"})
-        sim.run(until=2.5)
-        assert not chain.receipts[early.tx_id].ok
-        late = chain.submit("alice", "htlc", "refund", {"lock_id": "L"})
-        sim.run(until=4.5)
-        assert chain.receipts[late.tx_id].ok
-        assert chain.ledger.balance("alice", "X").units == 100
-
-    def test_only_beneficiary_claims(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        tx = chain.submit("eve", "htlc", "claim", {"lock_id": "L", "preimage": secret})
-        sim.run(until=2.5)
-        assert not chain.receipts[tx.tx_id].ok
-
-    def test_chain_ledger_conserves_value(self):
-        sim, chain, htlc, secret = self._setup()
-        chain.submit("alice", "htlc", "lock", {
-            "lock_id": "L", "beneficiary": "bob", "amount": Amount("X", 40),
-            "hashlock": secret.lock(), "deadline": 100.0,
-        })
-        sim.run(until=1.5)
-        assert chain.ledger.audit_ok()
+        chain.submit("e0", "tm", "escrowed", {})
+        chain.submit("e1", "tm", "escrowed", {})
+        sim.run(until=1.5)  # block 0: both reports, no decision yet
+        assert tm.decision is None and tm.decided_at_height is None
+        chain.submit("bob", "tm", "request_commit", {})
+        sim.run(until=2.5)  # block 1: the deciding request
+        chain.submit("bob", "tm", "request_abort", {})
+        sim.run(until=3.5)  # block 2: too late to change anything
+        assert tm.decision is Decision.COMMIT
+        assert tm.decided_at_height == 1
 
 
 class TestCertifiedBroadcast:

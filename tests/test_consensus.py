@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.consensus.committee import PaymentNotary, QuorumAssembler
+from repro.consensus.committee import QuorumAssembler
 from repro.consensus.dls import Notary, NotaryBehavior
 from repro.crypto.certificates import Decision, Vote
 from repro.crypto.keys import KeyRing

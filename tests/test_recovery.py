@@ -22,7 +22,7 @@ import random
 import pytest
 
 from repro.errors import RecoveryError, ScenarioError, WorkloadError
-from repro.protocols.base import protocol_supports_recovery
+from repro.protocols.base import protocol_class
 from repro.runtime import SerialExecutor
 from repro.runtime.spec import TrialSpec
 from repro.scenarios.registry import (
@@ -45,10 +45,16 @@ from repro.sim.faults import CRASH_POINTS, CRASH_POINT_DOCS, FaultInjector
 PROTOCOLS = ("timebounded", "weak", "certified", "htlc")
 
 
-def run_cell(protocol, adversary, topology="linear-3", timing="sync", seed=1):
+def run_cell(
+    protocol, adversary, topology="linear-3", timing="sync", seed=1, options=None
+):
     """One campaign cell through the real trial function."""
     spec = ScenarioSpec(
-        protocol=protocol, timing=timing, adversary=adversary, topology=topology
+        protocol=protocol,
+        timing=timing,
+        adversary=adversary,
+        topology=topology,
+        protocol_options=options or {},
     ).validate()
     return scenario_trial(
         TrialSpec(
@@ -242,7 +248,7 @@ class TestFaultInjectorValidation:
 class TestCapabilityGate:
     def test_all_four_protocols_declare_recovery(self):
         for protocol in PROTOCOLS:
-            assert protocol_supports_recovery(protocol)
+            assert protocol_class(protocol).supports_recovery
             assert unsupported_adversary_reason(protocol, "crash-restart") is None
 
     def test_non_crash_adversaries_never_gate(self):
@@ -283,21 +289,58 @@ class TestCapabilityGate:
         with pytest.raises(ScenarioError, match="supports_recovery"):
             list(campaign.scenarios())
 
+    def test_committee_tm_skips_crash_cells_with_reason(self, capsys):
+        """The committee cannot re-serve a decision to a restored
+        escrow, so the gate reads the cell's ``tm`` option and skips."""
+        from repro.cli import main
+
+        adversary = "crash-restart-pre-decision-d1"
+        reason = unsupported_adversary_reason(
+            "weak", adversary, {"tm": "committee"}
+        )
+        assert reason is not None and "tm=committee" in reason
+        for tm in ("trusted", "contract"):
+            assert unsupported_adversary_reason("weak", adversary, {"tm": tm}) is None
+        assert main(["campaign", "--protocols", "weak", "--timings", "sync",
+                     "--adversaries", f"none,{adversary}", "--topologies",
+                     "linear-3", "--trials", "1",
+                     "--set", "weak.tm=committee"]) == 0
+        assert f"skipped weak x {adversary}: {reason}" in capsys.readouterr().out
+
+    def test_committee_tm_crash_workload_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        adversary = "crash-restart-pre-decision-d1"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["workload", "--protocols", "weak", "--loads", "0.02",
+                  "--payments", "3", "--adversary", adversary,
+                  "--set", "weak.tm=committee"])
+        assert exit_info.value.code == 2
+        reason = unsupported_adversary_reason(
+            "weak", adversary, {"tm": "committee"}
+        )
+        assert f"error: {reason}\n" in capsys.readouterr().err
+
 
 # -- 3. End-to-end: checkpoint -> crash -> restore properties -------------
 
 
-@pytest.mark.parametrize("protocol", PROTOCOLS)
+@pytest.mark.parametrize(
+    "protocol, options",
+    [(protocol, {}) for protocol in PROTOCOLS] + [("weak", {"tm": "contract"})],
+    ids=list(PROTOCOLS) + ["weak-tm=contract"],
+)
 @pytest.mark.parametrize("point", CRASH_POINTS)
 class TestCrashRestoreEveryProtocolEveryPoint:
     """The core property: each crash point either recovers to the honest
     outcome (trace-equivalent at the record level) or diverges into the
     one classified alternative — the victim-hop refund.  Ledgers must
-    audit clean in both cases."""
+    audit clean in both cases.  The weak protocol also runs with the
+    contract TM, whose chain-hosted agent answers the requery."""
 
-    def test_crash_recover_and_classify(self, protocol, point):
-        baseline = run_cell(protocol, "none")
-        record = run_cell(protocol, f"crash-restart-{point}-d1")
+    def test_crash_recover_and_classify(self, protocol, options, point):
+        baseline = run_cell(protocol, "none", options=options)
+        record = run_cell(protocol, f"crash-restart-{point}-d1", options=options)
         assert record["crashed"] is True
         assert record["crash_point"] == point
         assert record["crash_downtime"] == 1.0

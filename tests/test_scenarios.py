@@ -405,12 +405,10 @@ class TestCampaignCli:
     def test_cli_table_notes_adversary_skipped_cells(self, capsys, monkeypatch):
         """The campaign CLI reports every skipped cell run_campaign
         reports, adversary-incapable ones included."""
-        import repro.scenarios.spec as spec_mod
         from repro.cli import main
+        from repro.protocols.htlc.protocol import HTLCProtocol
 
-        monkeypatch.setattr(
-            spec_mod, "protocol_supports_recovery", lambda p: p != "htlc"
-        )
+        monkeypatch.setattr(HTLCProtocol, "supports_recovery", False)
         assert main(["campaign", "--protocols", "htlc,weak", "--timing", "sync",
                      "--adversaries", "none,crash-restart", "--trials", "1",
                      "--topologies", "linear-1"]) == 0
@@ -460,8 +458,17 @@ class TestSweepFrontEnd:
                 "protocol 'htlc' has no option 'dleta'; known options: "
                 "['delta', 'epsilon', 'give_up_margin', 'step']",
             ),
+            (
+                ["--protocols", "certified", "--set", "certified.tm=committee"],
+                "protocol 'certified' has no option 'tm'; known options: "
+                "['block_interval', 'confirmations', 'patience_decision', "
+                "'patience_overrides', 'patience_setup']",
+            ),
         ],
-        ids=["negative-rho", "negative-horizon", "set-target", "set-option"],
+        ids=[
+            "negative-rho", "negative-horizon", "set-target", "set-option",
+            "certified-has-no-tm",
+        ],
     )
     def test_spec_options_validate_identically(
         self, capsys, command, argv, message

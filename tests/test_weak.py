@@ -4,9 +4,11 @@ import pytest
 
 from repro.core.session import PaymentSession
 from repro.core.topology import PaymentTopology
+from repro.crypto.certificates import Decision
+from repro.net.message import MsgKind
 from repro.net.timing import PartialSynchrony, Synchronous
 from repro.properties import check_definition2
-from repro.protocols.weak.tm import TrustedPartyBackend
+from repro.protocols.weak.tm import TMVotes, TrustedPartyBackend
 
 
 def _run(n=3, seed=0, tm="trusted", patience=5000.0, timing=None, horizon=100_000.0, **kwargs):
@@ -27,6 +29,59 @@ def _run(n=3, seed=0, tm="trusted", patience=5000.0, timing=None, horizon=100_00
         **kwargs,
     )
     return session.run()
+
+
+ESC, REQ, ABT = MsgKind.ESCROWED, MsgKind.COMMIT_REQUEST, MsgKind.ABORT_REQUEST
+
+
+class TestTMVotes:
+    """The one TM decision rule every realisation runs (trusted party,
+    contract, notary committee, certified log)."""
+
+    @pytest.mark.parametrize(
+        "sinks, votes, decided_by, decision",
+        [
+            ("bob", [(ESC, "e0"), (ESC, "e1"), (REQ, "bob")], 2, Decision.COMMIT),
+            ("bob", [(ESC, "e0"), (REQ, "bob")], None, None),
+            ("bob", [(ESC, "e0"), (ESC, "e1")], None, None),
+            ("bob", [(ABT, "anyone"), (ESC, "e0"), (ESC, "e1"), (REQ, "bob")],
+             0, Decision.ABORT),
+            ("bob", [(ABT, "x"), (ABT, "y")], 0, Decision.ABORT),
+            ("bob", [(ESC, "e0"), (ESC, "e1"), (REQ, "bob"), (ABT, "bob")],
+             2, Decision.COMMIT),
+            ("bob", [(ESC, "intruder"), (ESC, "e0"), (REQ, "bob")], None, None),
+            ("bob", [(ESC, "e0"), (ESC, "e1"), (REQ, "eve")], None, None),
+            ("bob", [(ESC, "e0"), (ESC, "e0"), (REQ, "bob")], None, None),
+            (["b0", "b1"], [(ESC, "e0"), (ESC, "e1"), (REQ, "b0")], None, None),
+            (["b0", "b1"], [(REQ, "b0"), (ESC, "e0"), (REQ, "b1"), (ESC, "e1")],
+             3, Decision.COMMIT),
+            ("bob", [("escrowed", "e0"), ("escrowed", "e1"),
+                     ("commit_request", "bob")], 2, Decision.COMMIT),
+        ],
+        ids=[
+            "commit-needs-every-report-and-request",
+            "commit-waits-for-every-report",
+            "commit-waits-for-the-request",
+            "first-abort-wins",
+            "decision-set-once-abort",
+            "decision-set-once-commit",
+            "non-member-report-does-not-count",
+            "non-member-request-does-not-count",
+            "repeated-report-counts-once",
+            "two-sinks-one-request-waits",
+            "two-sinks-commit",
+            "claim-kind-strings",
+        ],
+    )
+    def test_rule(self, sinks, votes, decided_by, decision):
+        tm = TMVotes(["e0", "e1"], sinks)
+        returned = [tm.add(kind, sender) for kind, sender in votes]
+        assert tm.decision is decision
+        # add() reports the decision once, on the vote that renders it.
+        expected = [None] * len(votes)
+        if decided_by is not None:
+            expected[decided_by] = decision
+        assert returned == expected
 
 
 class TestHonestCommit:

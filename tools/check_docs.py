@@ -82,6 +82,14 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                 # not as prose coincidences ('none', 'weak'...).
                 if f"`{name}`" not in text:
                     problems.append(f"{rel}: {axis} name `{name}` not documented")
+    # PAPER_MAP's protocols table copies each registry doc verbatim.
+    paper_map = texts.get("docs/PAPER_MAP.md", "")
+    for name, doc in axis_descriptions()["protocols"].items():
+        if f"| `{name}` | {doc} |" not in paper_map:
+            problems.append(
+                f"docs/PAPER_MAP.md: protocols row `{name}` does not read "
+                f"| `{name}` | {doc} |"
+            )
 
     # Topology patterns, checked straight off the builder registry (not
     # just via axis_descriptions): every registered kind must resolve
