@@ -6,6 +6,11 @@ customer" (paper §3).  :class:`SimpleChain` supplies that substrate:
 
 * blocks are produced every ``block_interval`` time units;
 * submitted transactions enter the next block (bounded mempool delay);
+* an empty block changes nothing but the height, so it is counted, not
+  built: while the mempool is empty the block tick is *parked* in the
+  kernel (:meth:`~repro.sim.kernel.Simulator.park`), which fires it in
+  place as an executed event without calling back, and a submission
+  unparks it;
 * a transaction's effects are *final* once ``confirmations`` further
   blocks exist; observers are notified at finality, not at inclusion —
   modelling the reorg-safety waiting period of real chains;
@@ -25,16 +30,11 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..errors import BlockchainError, ContractError
 from ..net.message import Envelope, MsgKind
-from ..sim.kernel import Simulator
+from ..sim.kernel import Park, Simulator
 from ..sim.process import Process
 from ..sim.trace import TraceKind
 
 _TX_SEQ = itertools.count()
-
-# Hoisted enum member: ``TraceKind.STATE`` is read once per produced
-# block, and enum member access goes through a descriptor — measurable
-# at campaign block-tick rates.
-_STATE = TraceKind.STATE
 
 
 @dataclass(frozen=True)
@@ -99,6 +99,12 @@ class Contract:
 class SimpleChain(Process):
     """A block-producing process hosting contracts.
 
+    A block is due every ``block_interval``, but only blocks with
+    transactions are built: an empty one is counted in :attr:`height`
+    and nothing else.  ``blocks`` and the trace's ``state="block"``
+    STATE records therefore cover only blocks with transactions; their
+    heights are positions on the full block grid.
+
     Parameters
     ----------
     sim:
@@ -131,6 +137,10 @@ class SimpleChain(Process):
         self._contracts: Dict[str, Contract] = {}
         self._finality_subs: List[Callable[[Receipt], None]] = []
         self._started = False
+        #: Blocks due so far, except the current park's firings.
+        self._height = 0
+        #: The parked block tick, while the mempool is empty.
+        self._park: Optional[Park] = None
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -138,12 +148,18 @@ class SimpleChain(Process):
         """Begin producing blocks."""
         if not self._started:
             self._started = True
-            self.set_timer("produce", self.block_interval)
+            self._arm()
 
     def on_timer(self, timer_id: str) -> None:
         if timer_id == "produce":
             self._produce_block()
-            self.set_timer("produce", self.block_interval)
+            self._arm()
+
+    def _arm(self) -> None:
+        """Arm the next block tick, parked while the mempool is empty."""
+        tick = self.set_timer("produce", self.block_interval)
+        if not self._mempool:
+            self._park = self.sim.park(tick, self.block_interval)
 
     # -- contracts ------------------------------------------------------------
 
@@ -182,6 +198,11 @@ class SimpleChain(Process):
             submitted_at=self.sim.now,
         )
         self._mempool.append(tx)
+        park = self._park
+        if park is not None:
+            self._park = None
+            self._height += park.firings
+            park.unpark()
         return tx
 
     def handle_message(self, message: Envelope) -> None:
@@ -209,44 +230,32 @@ class SimpleChain(Process):
     def _produce_block(self) -> Block:
         sim = self.sim
         now = sim.now
-        height = len(self.blocks)
-        mempool = self._mempool
-        if mempool:
-            txs = tuple(mempool)
-            mempool.clear()
-        else:
-            # Most blocks in a campaign are empty ticks: skip the
-            # mempool copy and the per-tx machinery below entirely.
-            txs = ()
+        height = self._height
+        self._height = height + 1
+        txs = tuple(self._mempool)
+        self._mempool.clear()
         block = Block(height=height, produced_at=now, txs=txs)
         self.blocks.append(block)
-        # Block ticks dominate campaign event counts; reduced-mode
-        # recorders filter STATE anyway, so checking the keep set here
-        # skips the record call (and its kwargs dict) per empty tick.
-        trace = sim.trace
-        keep = trace._keep
-        if keep is None or _STATE in keep:
-            trace.record(
-                now,
-                _STATE,
-                self.name,
-                state="block",
-                height=height,
-                txs=len(txs),
-            )
-        if txs:
-            final_at = now + self.confirmations * self.block_interval
-            ctx_base = dict(block_height=height, block_time=block.produced_at)
-            for tx in txs:
-                receipt = self._execute(tx, block, final_at, ctx_base)
-                self.receipts[tx.tx_id] = receipt
-                for callback in list(self._finality_subs):
-                    sim.schedule_at(
-                        final_at,
-                        callback,
-                        receipt,
-                        label=f"{self.name}.finality.tx{tx.tx_id}",
-                    )
+        sim.trace.record(
+            now,
+            TraceKind.STATE,
+            self.name,
+            state="block",
+            height=height,
+            txs=len(txs),
+        )
+        final_at = now + self.confirmations * self.block_interval
+        ctx_base = dict(block_height=height, block_time=block.produced_at)
+        for tx in txs:
+            receipt = self._execute(tx, block, final_at, ctx_base)
+            self.receipts[tx.tx_id] = receipt
+            for callback in list(self._finality_subs):
+                sim.schedule_at(
+                    final_at,
+                    callback,
+                    receipt,
+                    label=f"{self.name}.finality.tx{tx.tx_id}",
+                )
         return block
 
     def _execute(
@@ -281,8 +290,9 @@ class SimpleChain(Process):
 
     @property
     def height(self) -> int:
-        """Number of produced blocks."""
-        return len(self.blocks)
+        """Number of blocks so far, the empty ones counted while parked."""
+        park = self._park
+        return self._height + (park.firings if park is not None else 0)
 
     def time_to_finality(self) -> float:
         """Worst-case delay from submission to finality.

@@ -11,13 +11,27 @@ Given the same initial schedule and the same callbacks (which may draw
 randomness only from :class:`~repro.sim.rng.RngRegistry` streams), two
 runs produce byte-identical traces.  This is what makes the experiment
 suite reproducible and the bounded explorer sound.
+
+Parked events
+-------------
+A periodic timer whose firings change nothing but a count (an idle
+chain's block tick) can be *parked* (:meth:`Simulator.park`).  It keeps
+its heap entry and still fires as an executed event every period, but
+the kernel re-arms it in place instead of calling back, drawing its
+next ``seq`` exactly where a callback re-arming itself would draw it.
+Unparking restores the callback, and the event fires at the place it
+holds.  Every count and every event order is that of the running timer.
 """
 
 from __future__ import annotations
 
 import sys
-from heapq import heappop as _heappop, heappush as _heappush
-from typing import Any, Callable, List, Optional
+from heapq import (
+    heappop as _heappop,
+    heappush as _heappush,
+    heapreplace as _heapreplace,
+)
+from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError, SimulationError
 from .events import Event, EventPriority, _next_seq
@@ -41,6 +55,35 @@ else:
     # is ever recycled and every schedule allocates a fresh one.
     def _getrefcount(obj: object) -> int:
         return 0
+
+
+def _parked(park: "Park") -> None:
+    """The callback of a parked event: the kernel re-arms, never calls."""
+    raise SimulationError(f"{park.event!r} is parked and cannot be fired")
+
+
+class Park:
+    """The handle of a parked event (see :meth:`Simulator.park`).
+
+    While parked, the event's callback is the kernel's ``_parked``
+    sentinel and its arguments are ``(self,)``; the original callback
+    and arguments wait here.  ``firings`` counts the in-place firings.
+    """
+
+    __slots__ = ("event", "interval", "firings", "_fn", "_args")
+
+    def __init__(self, event: Event, interval: float) -> None:
+        self.event = event
+        self.interval = interval
+        self.firings = 0
+        self._fn: Callable[..., Any] = event.fn
+        self._args: Tuple[Any, ...] = event.args
+
+    def unpark(self) -> None:
+        """Restore the callback; the event fires at the place it holds."""
+        event = self.event
+        event.fn = self._fn
+        event.args = self._args
 
 
 class Simulator:
@@ -191,12 +234,39 @@ class Simulator:
             event.cancel()
             self._queue.note_cancelled(event)
 
+    def park(self, event: Event, interval: float) -> Park:
+        """Park a pending periodic event until its handle unparks it.
+
+        The event keeps its place in the queue.  Each time it reaches
+        the head it fires as an executed event in every respect (the
+        clock, :attr:`executed_events`, :meth:`run`'s count and budget,
+        the stop conditions), but instead of calling back the kernel
+        re-arms it ``interval`` later with a fresh ``seq`` — the order
+        a callback re-arming the same timer would produce.  Cancelling
+        a parked event works as for any other.
+
+        Raises
+        ------
+        SchedulingError
+            If the event is not pending, is already parked, or
+            ``interval`` is not positive and finite.
+        """
+        if not event.alive or event.fn is _parked:
+            raise SchedulingError(f"cannot park {event!r}")
+        if not (0.0 < interval < _INF):
+            raise SchedulingError(f"park interval must be > 0: {interval!r}")
+        park = Park(event, interval)
+        event.fn = _parked
+        event.args = (park,)
+        return park
+
     # -- stop conditions -------------------------------------------------
 
     def add_stop_condition(self, predicate: Callable[["Simulator"], bool]) -> None:
         """Stop the run loop as soon as ``predicate(self)`` is true.
 
-        Conditions are evaluated after every executed event.
+        Conditions are evaluated after every executed event, a parked
+        event's in-place firing included.
         """
         self._stop_conditions.append(predicate)
 
@@ -212,17 +282,27 @@ class Simulator:
         Returns
         -------
         bool
-            ``True`` if an event was executed, ``False`` if the queue
-            was empty.
+            ``True`` if an event was executed (a parked event's in-place
+            firing included), ``False`` if the queue was empty.
         """
-        event = self._queue.pop_due()
+        queue = self._queue
+        event = queue.peek()
         if event is None:
             return False
-        if event.time < self._now:  # pragma: no cover - defensive
+        time = event.time
+        if time < self._now:  # pragma: no cover - defensive
             raise SimulationError("event queue yielded an event from the past")
-        self._now = event.time
+        self._now = time
         self._executed += 1
-        event.fire()
+        if event.fn is _parked:
+            park = event.args[0]
+            park.firings += 1
+            event.time = later = time + park.interval
+            event.seq = seq = _next_seq()
+            _heapreplace(queue._heap, (later, event.priority, seq, event))
+        else:
+            queue.pop()
+            event.fire()
         return True
 
     def run(
@@ -251,7 +331,11 @@ class Simulator:
         Returns
         -------
         int
-            Number of events executed by this call.
+            Number of events executed by this call.  A parked event's
+            in-place firing is an executed event: it moves the clock,
+            counts here, against ``max_events`` and in
+            :attr:`executed_events`, and is followed by the stop
+            conditions like any other.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
@@ -277,11 +361,19 @@ class Simulator:
         # — PR 2's cancel-after-fire no-op contract survives.  Events
         # have no __weakref__ slot, so no hidden referrers exist.  Off
         # CPython `_getrefcount` reports 0, so nothing is recycled.
+        #
+        # Parked events: one identity check per event.  A parked head
+        # fires in place — re-armed one interval later by a single
+        # heapreplace, its next seq drawn now — and is never recycled
+        # (its Park handle holds it).
         queue = self._queue
         heap = queue._heap
         free = queue._free
         free_append = free.append
         heappop = _heappop  # local binding: LOAD_FAST in the loop
+        heapreplace = _heapreplace
+        next_seq = _next_seq
+        parked = _parked
         getrefcount = _getrefcount
         conditions = self._stop_conditions
         executed = 0
@@ -313,21 +405,29 @@ class Simulator:
                 if time > horizon:
                     exhausted = True
                     break
-                heappop(heap)
-                # A live event in the kernel's own queue is always
-                # counted (schedule/push set the flag; every uncount
-                # also kills the event), so no membership re-check.
-                event._counted = False
-                queue._live -= 1
                 self._now = time
                 executed += 1
                 self._executed += 1
-                event.fired = True
-                event.fn(*event.args)
-                if getrefcount(event) == 3:
-                    event.fn = None
-                    event.args = None
-                    free_append(event)
+                fn = event.fn
+                if fn is parked:
+                    park = event.args[0]
+                    park.firings += 1
+                    event.time = later = time + park.interval
+                    event.seq = seq = next_seq()
+                    heapreplace(heap, (later, event.priority, seq, event))
+                else:
+                    heappop(heap)
+                    # A live event in the kernel's own queue is always
+                    # counted (schedule/push set the flag; every uncount
+                    # also kills the event), so no membership re-check.
+                    event._counted = False
+                    queue._live -= 1
+                    event.fired = True
+                    fn(*event.args)
+                    if getrefcount(event) == 3:
+                        event.fn = None
+                        event.args = None
+                        free_append(event)
                 if conditions:
                     stop = False
                     for condition in conditions:

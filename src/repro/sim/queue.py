@@ -26,9 +26,11 @@ undercounting.
    ``Simulator.schedule``/``schedule_at`` inline the push and
    ``Simulator.run`` inlines the body of :meth:`EventQueue.pop_due`,
    to shed a Python call per event; both use the heap entry layout and
-   ``_counted``/``_live`` bookkeeping defined here.  ``_heap`` is
-   mutated only in place (``clear()`` included) so the kernel may
-   hoist a reference to it.
+   ``_counted``/``_live`` bookkeeping defined here.  ``Simulator.run``
+   and ``Simulator.step`` also move a parked head to its next firing
+   with one ``heapreplace``: the event stays live and counted.
+   ``_heap`` is mutated only in place (``clear()`` included) so the
+   kernel may hoist a reference to it.
 """
 
 from __future__ import annotations

@@ -9,9 +9,9 @@ contract (same payment seed ⇒ same outcome) would be lost.
 
 :class:`SessionView` is that separation, made structural: it presents
 the :class:`Simulator` surface the component stack actually consumes
-(``now`` / ``schedule`` / ``schedule_at`` / ``cancel`` / ``trace`` /
-``rng`` / the event counters), delegating time and scheduling to the
-shared kernel while owning a private
+(``now`` / ``schedule`` / ``schedule_at`` / ``cancel`` / ``park`` /
+``trace`` / ``rng`` / the event counters), delegating time and
+scheduling to the shared kernel while owning a private
 :class:`~repro.sim.trace.TraceRecorder` and a private
 :class:`~repro.sim.rng.RngRegistry` seeded from the payment's own seed.
 Networks, ledgers, processes, and clocks take the view wherever they
@@ -26,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Callable, Optional
 
 from .events import Event, EventPriority
-from .kernel import Simulator
+from .kernel import Park, Simulator
 from .rng import RngRegistry
 from .trace import TraceRecorder
 
@@ -127,6 +127,9 @@ class SessionView:
 
     def cancel(self, event: Event) -> None:
         self.kernel.cancel(event)
+
+    def park(self, event: Event, interval: float) -> Park:
+        return self.kernel.park(event, interval)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SessionView(kernel={self.kernel!r})"

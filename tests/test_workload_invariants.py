@@ -424,6 +424,43 @@ def test_session_views_isolate_rng_and_trace():
         assert len(terminates) == count, "trace bled between sessions"
 
 
+@pytest.mark.parametrize(
+    "protocol, options", [("certified", None), ("weak", {"tm": "contract"})]
+)
+def test_full_trace_payment_traces_only_its_own_blocks(
+    monkeypatch, protocol, options
+):
+    """A finished payment's chain keeps its kernel event but, idle,
+    records nothing — not even once its arena, view and trace have
+    passed to a later payment."""
+    from repro.sim.trace import TraceKind
+
+    heights = {}
+    collect = PaymentSession.collect
+
+    def capture(self, *args, **kwargs):
+        heights[self.topology.payment_id] = [
+            record.get("height")
+            for record in self.env.sim.trace.events(TraceKind.STATE)
+            if record.get("state") == "block"
+        ]
+        return collect(self, *args, **kwargs)
+
+    monkeypatch.setattr(PaymentSession, "collect", capture)
+    run_workload_cell(
+        protocol=protocol,
+        count=6,
+        load=0.02,
+        trace_level="full",
+        seed=1,
+        protocol_options=options,
+    )
+    assert len(heights) == 6
+    for payment, seen in heights.items():
+        assert seen and seen == sorted(set(seen)), (payment, seen)
+    assert heights["workload-p1"] == [0, 1]
+
+
 def test_kernel_event_counter_is_exact_inside_callbacks():
     """``executed_events`` is maintained in the hot loop, not lazily.
 
