@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import AutomatonError
 from ..net.message import Envelope, MsgKind
@@ -185,12 +185,6 @@ class AutomatonSpec:
                     raise AutomatonError(
                         f"state {state.name!r} targets unknown state {target!r}"
                     )
-
-    def input_states(self) -> List[StateSpec]:
-        return [s for s in self.states.values() if s.kind is StateKind.INPUT]
-
-    def output_states(self) -> List[StateSpec]:
-        return [s for s in self.states.values() if s.kind is StateKind.OUTPUT]
 
 
 __all__ = [

@@ -73,10 +73,6 @@ class PaymentEnv:
             self.identities[name] = identity
         return identity
 
-    def is_byzantine(self, name: str) -> bool:
-        """Whether the participant was marked Byzantine for this run."""
-        return name in self.config.get("byzantine", {})
-
     def byzantine_behavior(self, name: str) -> Any:
         """The behaviour spec assigned to a Byzantine participant."""
         return self.config.get("byzantine", {}).get(name)

@@ -219,10 +219,6 @@ class PaymentGraph:
             table[edge.upstream].append(edge)
         return {c: tuple(edges) for c, edges in table.items()}
 
-    @cached_property
-    def _escrow_edges(self) -> Dict[str, HopEdge]:
-        return {edge.escrow: edge for edge in self.edges}
-
     @property
     def n_escrows(self) -> int:
         """Hop count (escrows mediate exactly one hop each)."""
@@ -301,13 +297,6 @@ class PaymentGraph:
         return [c for c in self._customers if not self._out_edges[c]]
 
     # -- relations ----------------------------------------------------------------
-
-    def edge_of_escrow(self, name: str) -> HopEdge:
-        """The hop mediated by escrow ``name``."""
-        try:
-            return self._escrow_edges[name]
-        except KeyError:
-            raise ProtocolError(f"not an escrow name: {name!r}") from None
 
     def in_edges(self, customer: str) -> Tuple[HopEdge, ...]:
         """Hops paying *into* ``customer`` (edge order)."""

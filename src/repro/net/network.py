@@ -177,8 +177,7 @@ class Network:
         # Reduced-mode recorders filter SEND out anyway; checking the
         # keep set here skips the record call (and its kwargs dict) on
         # the campaign hot path.  ``_keep`` is the recorder's own
-        # filter set — read directly, like the kernel reads the
-        # queue's ``_heap``.
+        # filter set, read directly to spare a method call per send.
         trace = sim.trace
         keep = trace._keep
         if keep is None or _SEND in keep:

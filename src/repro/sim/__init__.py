@@ -11,7 +11,6 @@ from .events import Event, EventPriority, make_event
 from .faults import CRASH_POINTS, FaultInjector
 from .kernel import Simulator
 from .process import Process
-from .queue import EventQueue
 from .rng import RngRegistry, RngStream, derive_seed
 from .trace import TraceEvent, TraceKind, TraceRecorder
 
@@ -20,7 +19,6 @@ __all__ = [
     "DecisionLog",
     "Event",
     "EventPriority",
-    "EventQueue",
     "FaultInjector",
     "Process",
     "RngRegistry",

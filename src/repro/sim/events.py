@@ -8,18 +8,17 @@ The sequence number guarantees a *deterministic* ordering even when many
 events share a timestamp — a crucial property for reproducible
 simulations (same seed, same trace).
 
-Events support O(1) cancellation: cancelling marks the event dead and
-the queue discards it lazily when popped.  Firing *also* marks the
-event dead: a fired event is no longer pending, so cancelling it
-afterwards is a no-op rather than a phantom cancellation that corrupts
-the queue's live-event accounting.
+Events support O(1) cancellation: ``Simulator.cancel`` marks the event
+cancelled and the kernel discards it lazily when it reaches the head of
+the heap.  Firing marks the event ``fired`` instead: a fired event is
+spent, so cancelling it afterwards is a no-op.
 
 ``Event`` is a hand-written ``__slots__`` class rather than a
-dataclass: event construction and comparison are the hottest code in
-the repo (every schedule/heap-sift/pop touches them), so instances
-carry no ``__dict__`` and the queue keys its heap entries by
-``(time, priority, seq)`` directly — heap sifts compare native
-floats/ints, never Python-level ``Event`` methods.
+dataclass: event construction is the hottest code in the repo (every
+schedule touches it), so instances carry no ``__dict__``.  Events are
+never compared with each other: the kernel keys its heap entries by
+``(time, priority, seq)`` directly, so heap sifts compare native
+floats/ints.
 """
 
 from __future__ import annotations
@@ -44,11 +43,6 @@ class EventPriority(IntEnum):
     TIMER = 20
     INTERNAL = 30
     MONITOR = 40
-
-    @classmethod
-    def validate(cls, value: int) -> int:
-        """Return ``value`` unchanged; any int is a legal priority."""
-        return int(value)
 
 
 #: Global sequence counter shared by all simulators in a process.  Using
@@ -86,7 +80,6 @@ class Event:
         "seq",
         "cancelled",
         "fired",
-        "_counted",
     )
 
     def __init__(
@@ -110,40 +103,15 @@ class Event:
         self.seq = seq
         self.cancelled = cancelled
         self.fired = fired
-        #: Queue-owned bookkeeping: whether this event is currently
-        #: counted in its queue's live total.  Managed exclusively by
-        #: :class:`~repro.sim.queue.EventQueue`.
-        self._counted = False
 
     def sort_key(self) -> Tuple[float, int, int]:
         """Total-order key: time, then priority, then insertion order."""
         return (self.time, self.priority, self.seq)
 
-    def cancel(self) -> None:
-        """Mark the event dead; the queue discards it when popped."""
-        self.cancelled = True
-
     @property
     def alive(self) -> bool:
         """Whether the event will still fire when its time comes."""
         return not self.cancelled and not self.fired
-
-    def fire(self) -> Any:
-        """Invoke the callback.  The kernel calls this; tests may too.
-
-        Marks the event dead *before* invoking the callback: a fired
-        event is spent even if its callback raises, and cancelling it
-        afterwards must be a no-op.
-        """
-        self.fired = True
-        return self.fn(*self.args)
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.priority, self.seq) < (
-            other.time,
-            other.priority,
-            other.seq,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = (

@@ -5,6 +5,14 @@ in ``(time, priority, seq)`` order.  The kernel is deliberately small:
 everything domain-specific (networks, clocks, automata, ledgers) is
 layered on top of ``schedule`` / ``cancel`` / ``run``.
 
+The kernel owns its event heap.  Entries are flat ``(time, priority,
+seq, event)`` tuples, so every sift compares native floats and ints and
+never an ``Event`` (``seq`` is unique, so the trailing event is never
+compared).  :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
+push, :meth:`Simulator.cancel` only marks the event, and
+:meth:`Simulator.run` is the only code that pops: it discards a
+cancelled head lazily when it reaches the root.
+
 Determinism contract
 --------------------
 Given the same initial schedule and the same callbacks (which may draw
@@ -35,7 +43,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError, SimulationError
 from .events import Event, EventPriority, _next_seq
-from .queue import EventQueue
 from .rng import RngRegistry
 from .trace import TraceRecorder
 
@@ -46,6 +53,9 @@ _INTERNAL = int(EventPriority.INTERNAL)
 
 _EVENT_NEW = Event.__new__
 _INF = float("inf")
+
+#: One heap entry: the event's sort key, flattened, then the event.
+_Entry = Tuple[float, int, int, Event]
 
 if sys.implementation.name == "cpython":
     _getrefcount = sys.getrefcount
@@ -102,7 +112,8 @@ class Simulator:
     # keep those loads off the instance-dict path.
     __slots__ = (
         "_now",
-        "_queue",
+        "_heap",
+        "_free",
         "_running",
         "_stopped",
         "_executed",
@@ -113,7 +124,14 @@ class Simulator:
 
     def __init__(self, seed: int = 0, trace: Optional[TraceRecorder] = None) -> None:
         self._now = 0.0
-        self._queue = EventQueue()
+        self._heap: List[_Entry] = []
+        #: Slab free list of spent :class:`Event` shells.  :meth:`run`
+        #: recycles an event here after it fires (or is discarded as a
+        #: dead head) *only* when it can prove no external reference to
+        #: the object survives, and :meth:`schedule` pops the shell back
+        #: out instead of allocating.  ``_heap`` and ``_free`` are only
+        #: mutated in place, so :meth:`run` may hoist references to them.
+        self._free: List[Event] = []
         self._running = False
         self._stopped = False
         self._executed = 0
@@ -141,8 +159,12 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live events still scheduled."""
-        return len(self._queue)
+        """Number of live events still scheduled, counted when read.
+
+        The heap never holds a fired event (``fired`` is set only after
+        the pop), so its live entries are the uncancelled ones.
+        """
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     # -- scheduling ------------------------------------------------------
 
@@ -165,19 +187,21 @@ class Simulator:
             raise SchedulingError(f"negative or NaN delay: {delay!r}")
         # Inlined fast path: this is the hottest call in the repo
         # (every timer/delivery goes through it), so the event comes
-        # off the queue's slab free list when one is available (built
+        # off the slab free list when one is available (built
         # field-by-field either way, skipping the Event.__init__
-        # frame) and is pushed straight into the queue's heap (a new
-        # event is always live, so push's liveness re-check is moot).
-        # `time >= now` holds by construction, so `time < inf` is the
-        # whole finiteness check (NaN compares false and is rejected).
+        # frame) and is pushed straight into the heap.  `schedule_at`
+        # repeats this body rather than being called from here: that
+        # spares a Python frame per timer, and perfbench's `sim.timers`
+        # counts calls to both, so delegating would count each relative
+        # timer twice.  `time >= now` holds by construction, so
+        # `time < inf` is the whole finiteness check (NaN compares
+        # false and is rejected).
         time = self._now + delay
         if not (time < _INF):
             raise SchedulingError(f"non-finite event time: {time!r}")
         if priority.__class__ is not int:
             priority = int(priority)
-        queue = self._queue
-        free = queue._free
+        free = self._free
         event = free.pop() if free else _EVENT_NEW(Event)
         event.time = time
         event.priority = priority
@@ -187,9 +211,7 @@ class Simulator:
         event.seq = seq = _next_seq()
         event.cancelled = False
         event.fired = False
-        event._counted = True
-        _heappush(queue._heap, (time, priority, seq, event))
-        queue._live += 1
+        _heappush(self._heap, (time, priority, seq, event))
         return event
 
     def schedule_at(
@@ -212,8 +234,7 @@ class Simulator:
             raise SchedulingError(f"non-finite event time: {time!r}")
         if priority.__class__ is not int:
             priority = int(priority)
-        queue = self._queue
-        free = queue._free
+        free = self._free
         event = free.pop() if free else _EVENT_NEW(Event)
         event.time = time
         event.priority = priority
@@ -223,21 +244,22 @@ class Simulator:
         event.seq = seq = _next_seq()
         event.cancelled = False
         event.fired = False
-        event._counted = True
-        _heappush(queue._heap, (time, priority, seq, event))
-        queue._live += 1
+        _heappush(self._heap, (time, priority, seq, event))
         return event
 
     def cancel(self, event: Event) -> None:
-        """Cancel a previously scheduled event (idempotent)."""
-        if event.alive:
-            event.cancel()
-            self._queue.note_cancelled(event)
+        """Cancel a previously scheduled event (idempotent).
+
+        Only marks the event: :meth:`run` discards it when it reaches
+        the head of the heap.  Cancelling a fired event is a no-op.
+        """
+        if not event.fired:
+            event.cancelled = True
 
     def park(self, event: Event, interval: float) -> Park:
         """Park a pending periodic event until its handle unparks it.
 
-        The event keeps its place in the queue.  Each time it reaches
+        The event keeps its place in the heap.  Each time it reaches
         the head it fires as an executed event in every respect (the
         clock, :attr:`executed_events`, :meth:`run`'s count and budget,
         the stop conditions), but instead of calling back the kernel
@@ -266,7 +288,7 @@ class Simulator:
         """Stop the run loop as soon as ``predicate(self)`` is true.
 
         Conditions are evaluated after every executed event, a parked
-        event's in-place firing included.
+        event's in-place firing and a :meth:`step` included.
         """
         self._stop_conditions.append(predicate)
 
@@ -277,40 +299,26 @@ class Simulator:
     # -- execution -------------------------------------------------------
 
     def step(self) -> bool:
-        """Execute exactly one event.
+        """Execute exactly one event: ``run(max_events=1)``.
+
+        The stop conditions run after the event, as after any other,
+        and like :meth:`run` a step cannot be taken from inside a
+        running callback.
 
         Returns
         -------
         bool
             ``True`` if an event was executed (a parked event's in-place
-            firing included), ``False`` if the queue was empty.
+            firing included), ``False`` if none was pending.
         """
-        queue = self._queue
-        event = queue.peek()
-        if event is None:
-            return False
-        time = event.time
-        if time < self._now:  # pragma: no cover - defensive
-            raise SimulationError("event queue yielded an event from the past")
-        self._now = time
-        self._executed += 1
-        if event.fn is _parked:
-            park = event.args[0]
-            park.firings += 1
-            event.time = later = time + park.interval
-            event.seq = seq = _next_seq()
-            _heapreplace(queue._heap, (later, event.priority, seq, event))
-        else:
-            queue.pop()
-            event.fire()
-        return True
+        return self.run(max_events=1) == 1
 
     def run(
         self,
         until: Optional[float] = None,
         max_events: Optional[int] = None,
     ) -> int:
-        """Run until the queue empties, ``until`` is reached, or stopped.
+        """Run until no event is pending, ``until`` is reached, or stopped.
 
         Parameters
         ----------
@@ -318,7 +326,7 @@ class Simulator:
             Inclusive global-time horizon.  Events scheduled strictly
             after ``until`` remain pending; the clock is advanced to
             ``until`` whenever the horizon is the binding constraint —
-            including when the queue is empty or drains before the
+            including when the heap is empty or drains before the
             horizon — so latency read from :attr:`now` is never short
             of the simulated span.  (A ``stop()`` request or a stop
             condition leaves the clock at the last executed event.)
@@ -341,24 +349,24 @@ class Simulator:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
         self._stopped = False
-        # Hot loop: one head access per event, firing inlined (see
-        # Event.fire for the contract), queue internals and the
-        # condition list hoisted out of the loop.  The pop itself is
-        # the body of EventQueue.pop_due, inlined to shed a Python
-        # call per event — the queue's bookkeeping invariants
-        # (`_counted`/`_live`) are maintained identically.  Event
+        # Hot loop: one head access per event, the heap, the slab and
+        # the condition list hoisted out of the loop.  This is the only
+        # code that pops the heap.  A cancelled head is discarded
+        # lazily; no fired event is ever in the heap, because `fired`
+        # is set only after the pop (and before the callback, so an
+        # event whose callback raises is spent all the same).  Event
         # times are always finite, so a missing horizon/event budget
         # normalises to infinity and each needs just one comparison
         # per event.
         #
         # Slab recycling: a spent event (fired, or discarded as a dead
-        # head) goes back on the queue's free list *only* when exactly
+        # head) goes back on the free list *only* when exactly
         # three references remain — the popped heap entry still held by
         # `head`, the `event` local, and getrefcount's own argument.
         # Any external holder (a timer table, a handle a test kept, a
         # protocol field) raises the count and vetoes the recycle, so
         # a handle someone can still cancel() through is never reused
-        # — PR 2's cancel-after-fire no-op contract survives.  Events
+        # — the cancel-after-fire no-op contract survives.  Events
         # have no __weakref__ slot, so no hidden referrers exist.  Off
         # CPython `_getrefcount` reports 0, so nothing is recycled.
         #
@@ -366,10 +374,8 @@ class Simulator:
         # fires in place — re-armed one interval later by a single
         # heapreplace, its next seq drawn now — and is never recycled
         # (its Park handle holds it).
-        queue = self._queue
-        heap = queue._heap
-        free = queue._free
-        free_append = free.append
+        heap = self._heap
+        free_append = self._free.append
         heappop = _heappop  # local binding: LOAD_FAST in the loop
         heapreplace = _heapreplace
         next_seq = _next_seq
@@ -379,7 +385,7 @@ class Simulator:
         executed = 0
         horizon = until if until is not None else _INF
         budget = max_events if max_events is not None else _INF
-        # Whether the loop ended because no due event remained (queue
+        # Whether the loop ended because no due event remained (heap
         # drained or horizon passed) — the only exits on which the
         # horizon may bind the clock.  stop(), stop conditions, and
         # the event budget leave the clock at the last executed event.
@@ -391,11 +397,8 @@ class Simulator:
                     break
                 head = heap[0]
                 event = head[3]
-                if event.cancelled or event.fired:
+                if event.cancelled:
                     heappop(heap)  # discard the dead head lazily
-                    if event._counted:
-                        event._counted = False
-                        queue._live -= 1
                     if getrefcount(event) == 3:
                         event.fn = None
                         event.args = None
@@ -417,11 +420,6 @@ class Simulator:
                     heapreplace(heap, (later, event.priority, seq, event))
                 else:
                     heappop(heap)
-                    # A live event in the kernel's own queue is always
-                    # counted (schedule/push set the flag; every uncount
-                    # also kills the event), so no membership re-check.
-                    event._counted = False
-                    queue._live -= 1
                     event.fired = True
                     fn(*event.args)
                     if getrefcount(event) == 3:
@@ -440,7 +438,7 @@ class Simulator:
             self._running = False
         if exhausted and until is not None and until > self._now:
             # The horizon binds whenever no event at or before `until`
-            # remains — including on an empty queue.
+            # remains — including on an empty heap.
             self._now = until
         return executed
 
@@ -453,9 +451,11 @@ class Simulator:
         clock, executed-event count, stop conditions, and stop flag are
         cleared; the random registry is rebuilt from ``seed`` and the
         trace replaced (a fresh full recorder when ``trace`` is
-        omitted) — exactly the state ``__init__`` would produce.  The
-        event queue keeps its slab of recycled event shells, so
-        steady-state arena trials allocate no new events.
+        omitted) — exactly the state ``__init__`` would produce.
+        Pending events are dropped but not recycled (the previous
+        trial's processes may still hold them); the slab of recycled
+        event shells is kept, so steady-state arena trials allocate no
+        new events.
 
         Raises
         ------
@@ -465,7 +465,7 @@ class Simulator:
         if self._running:
             raise SimulationError("cannot reset a running Simulator")
         self._now = 0.0
-        self._queue.reset()
+        self._heap.clear()
         self._stopped = False
         self._executed = 0
         self.rng = RngRegistry(seed)
@@ -474,13 +474,9 @@ class Simulator:
 
     # -- introspection ----------------------------------------------------
 
-    def pending(self) -> List[Event]:
-        """Live events sorted by firing order (copy)."""
-        return self._queue.snapshot_sorted()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"Simulator(now={self._now:.6g}, pending={len(self._queue)}, "
+            f"Simulator(now={self._now:.6g}, pending={self.pending_events}, "
             f"executed={self._executed})"
         )
 

@@ -156,15 +156,6 @@ class LiquiditySubstrate:
 
     # -- conservation -----------------------------------------------------
 
-    def in_flight_total(self, asset: str) -> int:
-        """Units of ``asset`` currently drawn by live payments."""
-        return sum(
-            units
-            for drawn in self._in_flight.values()
-            for (_escrow, a), units in drawn
-            if a == asset
-        )
-
     def in_flight_payments(self) -> int:
         """Number of admitted payments not yet retired."""
         return len(self._in_flight)

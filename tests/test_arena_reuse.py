@@ -167,11 +167,11 @@ def test_arena_recycles_world_objects_and_event_slab():
     sim = first.env.sim
     network = first.env.network
     ledgers = dict(first.env.ledgers)
-    assert sim._queue._free, "a finished run should have recycled events"
+    assert sim._free, "a finished run should have recycled events"
     # Scheduling pops shells off the tail of the free list, so this
     # exact object must be the reused run's first allocation; a changed
     # seq proves it went through the kernel again.
-    shell = sim._queue._free[-1]
+    shell = sim._free[-1]
     seq_before = shell.seq
     second = _session("linear-3", "timebounded", arena=arena)
     assert second.env.sim is sim
@@ -179,4 +179,4 @@ def test_arena_recycles_world_objects_and_event_slab():
     for name, ledger in second.env.ledgers.items():
         assert ledger is ledgers[name]
     assert shell.seq != seq_before, "slab shell was not recycled"
-    assert sim._queue._free, "slab must survive the reset"
+    assert sim._free, "slab must survive the reset"

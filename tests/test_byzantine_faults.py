@@ -1,48 +1,17 @@
-"""Tests: generic fault wrappers and the behaviour registry."""
+"""Tests: Byzantine behaviours and the behaviour registry."""
 
 import pytest
 
 from repro.byzantine.behaviors import SPEC_TRANSFORMS, apply_behavior, register_behavior
-from repro.byzantine.faults import CrashSchedule, DeafWrapper
 from repro.core.session import PaymentSession
 from repro.core.topology import PaymentTopology
 from repro.errors import ProtocolError
-from repro.net.message import Envelope, MsgKind
-from repro.net.network import Network
 from repro.net.timing import Synchronous
 from repro.properties import check_definition1
 from repro.protocols.timebounded import bob_spec
-from repro.sim.kernel import Simulator
-from repro.sim.process import Process
-from repro.sim.trace import TraceKind
 
 
-class Recorder(Process):
-    def __init__(self, sim, name):
-        super().__init__(sim, name)
-        self.received = []
-
-    def handle_message(self, message):
-        self.received.append(message)
-
-
-class TestCrashSchedule:
-    def test_crash_terminates_at_time(self):
-        sim = Simulator()
-        p = Recorder(sim, "p")
-        CrashSchedule(p, at=5.0).arm()
-        sim.run()
-        assert p.terminated
-        assert sim.trace.first(kind=TraceKind.FAULT, actor="p").time == 5.0
-
-    def test_crash_after_natural_termination_is_noop(self):
-        sim = Simulator()
-        p = Recorder(sim, "p")
-        p.terminate(reason="done")
-        CrashSchedule(p, at=5.0).arm()
-        sim.run()
-        assert sim.trace.count(kind=TraceKind.FAULT, actor="p") == 0
-
+class TestCrashBehavior:
     def test_crashed_participant_mid_protocol_is_safe(self):
         """Crash Chloe mid-run: money must still be conserved and the
         conditional guarantees must stay clean."""
@@ -52,57 +21,6 @@ class TestCrashSchedule:
         outcome = session.run()
         assert all(outcome.ledger_audits.values())
         assert check_definition1(outcome).all_ok
-
-
-class TestDeafWrapper:
-    def _world(self, drop):
-        sim = Simulator(seed=2)
-        net = Network(sim, Synchronous(1.0))
-        inner = Recorder(sim, "deaf")
-        shell = DeafWrapper(inner, drop_fraction=drop)
-        sender = Recorder(sim, "s")
-        net.register_all([shell, sender])
-        return sim, net, inner, shell, sender
-
-    def test_drop_all(self):
-        sim, net, inner, shell, sender = self._world(1.0)
-        for _ in range(10):
-            net.send(sender, "deaf", MsgKind.MONEY)
-        sim.run()
-        assert inner.received == []
-        assert sim.trace.count(kind=TraceKind.DROP, actor="deaf") == 10
-
-    def test_drop_none(self):
-        sim, net, inner, shell, sender = self._world(0.0)
-        for _ in range(10):
-            net.send(sender, "deaf", MsgKind.MONEY)
-        sim.run()
-        assert len(inner.received) == 10
-
-    def test_partial_drop_is_seeded(self):
-        counts = []
-        for _ in range(2):
-            sim, net, inner, shell, sender = self._world(0.5)
-            for _ in range(40):
-                net.send(sender, "deaf", MsgKind.MONEY)
-            sim.run()
-            counts.append(len(inner.received))
-        assert counts[0] == counts[1]  # deterministic
-        assert 0 < counts[0] < 40
-
-    def test_invalid_fraction_rejected(self):
-        sim = Simulator()
-        inner = Recorder(sim, "x")
-        with pytest.raises(ValueError):
-            DeafWrapper(inner, drop_fraction=1.5)
-
-    def test_termination_mirrors_inner(self):
-        sim = Simulator()
-        inner = Recorder(sim, "x")
-        shell = DeafWrapper(inner, drop_fraction=0.0)
-        assert not shell.terminated
-        inner.terminate()
-        assert shell.terminated
 
 
 class TestBehaviorRegistry:

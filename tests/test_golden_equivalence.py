@@ -38,10 +38,10 @@ Regenerate (only when a change is *supposed* to alter behaviour)::
 One pinned trace cell is also rerun with the kernel's slab recycling
 disabled (the fallback off CPython), which must not change a byte.
 
-The module also stress-tests :class:`~repro.sim.queue.EventQueue`
-against a naive reference implementation under a randomized
-push/cancel/pop/pop_due/clear mix, checking heap order and the
-live-count invariant after every operation.
+The module also stress-tests the kernel's event heap against a naive
+reference under a randomized schedule/cancel/step/run/reset mix, with
+slab recycling on and off, checking the firing order and
+``pending_events`` after every operation.
 """
 
 from __future__ import annotations
@@ -51,16 +51,20 @@ import os
 import random
 import subprocess
 import sys
+from collections import deque
 from pathlib import Path
 from typing import List, Optional
+
+import pytest
 
 from repro.core.session import PaymentSession
 from repro.experiments.harness import build_timing
 from repro.runtime import SerialExecutor
 from repro.scenarios.registry import build_topology, timing_descriptor
 from repro.scenarios.spec import CampaignSpec
+from repro.sim import kernel
 from repro.sim.events import Event
-from repro.sim.queue import EventQueue
+from repro.sim.kernel import Simulator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RECORDS_FIXTURE = FIXTURES / "golden_records.jsonl"
@@ -299,23 +303,22 @@ def test_traces_identical_without_slab_recycling(monkeypatch):
     import itertools
 
     from repro.net import message
-    from repro.sim import kernel
 
     # Premise: on this interpreter the slab does recycle events.
-    assert _trace_session("linear-3", "sync").env.sim._queue._free
+    assert _trace_session("linear-3", "sync").env.sim._free
     monkeypatch.setattr(kernel, "_getrefcount", lambda obj: 0)
     # The first pinned cell starts from a fresh msg-id counter, as in
     # the hermetic fixture run.
     monkeypatch.setattr(message, "_MSG_SEQ", itertools.count())
     session = _trace_session("linear-3", "sync")
-    assert session.env.sim._queue._free == []
+    assert session.env.sim._free == []
     fixture = json.loads(TRACES_FIXTURE.read_text(encoding="utf-8"))
     assert json.dumps(session.env.sim.trace.to_dicts(), sort_keys=True) == (
         json.dumps(fixture["linear-3/sync"], sort_keys=True)
     )
 
 
-# -- EventQueue stress test ----------------------------------------------
+# -- kernel heap stress test ---------------------------------------------
 
 
 class NaiveQueue:
@@ -327,123 +330,130 @@ class NaiveQueue:
     def push(self, event: Event) -> None:
         self.items.append(event)
 
-    def pop(self) -> Event:
-        live = [e for e in self.items if e.alive]
-        if not live:
-            raise IndexError("empty")
-        event = min(live, key=Event.sort_key)
+    def discard(self, event: Event) -> None:
         self.items.remove(event)
-        return event
-
-    def pop_due(self, until: Optional[float]) -> Optional[Event]:
-        live = [e for e in self.items if e.alive]
-        if not live:
-            return None
-        event = min(live, key=Event.sort_key)
-        if until is not None and event.time > until:
-            return None
-        self.items.remove(event)
-        return event
 
     def peek(self) -> Optional[Event]:
-        live = [e for e in self.items if e.alive]
-        return min(live, key=Event.sort_key) if live else None
+        return min(self.items, key=Event.sort_key) if self.items else None
+
+    def pop(self) -> Event:
+        event = min(self.items, key=Event.sort_key)
+        self.items.remove(event)
+        return event
+
+    def due(self, until: float) -> int:
+        return sum(1 for event in self.items if event.time <= until)
 
     def clear(self) -> None:
         self.items.clear()
 
     def __len__(self) -> int:
-        return sum(1 for e in self.items if e.alive)
+        return len(self.items)
 
 
-def test_event_queue_stress_against_naive_reference():
+@pytest.mark.parametrize("recycling", [True, False], ids=["slab", "no-slab"])
+def test_kernel_stress_against_naive_reference(recycling, monkeypatch):
+    """Random schedule/cancel/step/run/reset mix on one kernel.
+
+    Each callback checks that its event is the reference's minimum and
+    pops it there, so once a callback returns only the kernel holds the
+    event and the slab may recycle it.  A few spent handles are kept to
+    cancel again: repeated, after firing, and after a reset.
+    """
+    if not recycling:
+        monkeypatch.setattr(kernel, "_getrefcount", lambda obj: 0)
     rng = random.Random(0xC0FFEE)
-    queue, naive = EventQueue(), NaiveQueue()
-    popped: List[Event] = []
+    sim, naive = Simulator(), NaiveQueue()
+    spent: deque = deque(maxlen=8)
+    fired: List[int] = []
+    recycled = 0
 
-    def new_event() -> Event:
-        return Event(
-            time=rng.choice([0.0, 1.0, 2.5, 2.5, 7.0, rng.random() * 10]),
-            priority=rng.choice([0, 10, 10, 20, 40]),
-            fn=lambda: None,
-        )
+    def fire(token: int) -> None:
+        event = naive.pop()
+        assert event.fired and event.args == (token,), "heap order diverged"
+        assert sim.now == event.time
+        fired.append(token)
+        if rng.random() < 0.1:
+            spent.append(event)
 
     for step in range(4_000):
         op = rng.random()
-        if op < 0.45:
-            event = new_event()
-            queue.push(event)
-            naive.push(event)
-        elif op < 0.60:
-            # Cancel a random still-tracked event (live or not), the
-            # way the kernel does: mark dead, then notify the queue.
-            if naive.items:
-                victim = rng.choice(naive.items)
-                victim.cancel()
-                queue.note_cancelled(victim)
-        elif op < 0.80:
-            expected = None
-            try:
-                expected = naive.pop()
-            except IndexError:
-                pass
-            if expected is None:
-                try:
-                    queue.pop()
-                    raise AssertionError("pop succeeded on empty queue")
-                except IndexError:
-                    pass
+        now = sim.now
+        if op < 0.40:
+            delay = rng.choice([0.0, 1.0, 2.5, 2.5, 7.0, rng.random() * 10])
+            priority = rng.choice([0, 10, 10, 20, 40])
+            recycled += bool(sim._free)
+            if rng.random() < 0.5:
+                event = sim.schedule_at(now + delay, fire, step, priority=priority)
             else:
-                got = queue.pop()
-                assert got is expected, f"step {step}: heap order diverged"
-                popped.append(got)
-        elif op < 0.95:
-            until = rng.choice([None, 1.0, 2.5, 5.0])
-            expected = naive.pop_due(until)
-            got = queue.pop_due(until)
-            assert got is expected, f"step {step}: pop_due diverged"
-            if got is not None:
-                popped.append(got)
+                event = sim.schedule(delay, fire, step, priority=priority)
+            naive.push(event)
+            del event
+        elif op < 0.55:
+            if naive:
+                victim = rng.choice(naive.items)
+                sim.cancel(victim)
+                naive.discard(victim)
+                if rng.random() < 0.5:
+                    spent.append(victim)
+                del victim
+        elif op < 0.62:
+            if spent:
+                handle = rng.choice(spent)
+                was_fired = handle.fired
+                sim.cancel(handle)
+                assert handle.cancelled != was_fired
+                del handle
+        elif op < 0.77:
+            pending = bool(naive)
+            assert sim.step() == pending, f"step {step}: step diverged"
+            if not pending:
+                assert sim.now == now
+        elif op < 0.87:
+            until = now + rng.choice([0.0, 0.5, 1.0, 2.5, 5.0])
+            head = naive.peek()
+            expected = 1 if head is not None and head.time <= until else 0
+            del head
+            ran = sim.run(until=until, max_events=1)
+            assert ran == expected, f"step {step}: run(max_events=1) diverged"
+            if not expected:
+                assert sim.now == until
+        elif op < 0.97:
+            until = now + rng.choice([0.0, 1.0, 2.5, 5.0, 10.0])
+            expected = naive.due(until)
+            assert sim.run(until=until) == expected, f"step {step}: run diverged"
+            assert sim.now == until
         else:
-            queue.clear()
+            spent.extend(naive.items[:2])
             naive.clear()
+            sim.reset(seed=step)
 
-        # Invariants after every operation: exact live counts, and a
-        # peek that agrees with the reference's minimum.
-        assert len(queue) == len(naive), f"step {step}: live count diverged"
-        assert queue.peek() is naive.peek(), f"step {step}: peek diverged"
+        assert sim.pending_events == len(naive), f"step {step}: count diverged"
+        if not recycling:
+            assert sim._free == []
 
-    # Everything popped came out in globally consistent order per
-    # drain segment; verify at least the keys are sorted between
-    # consecutive pops that had no intervening push/clear is already
-    # covered by the is-identity checks above.  Also: double cancel and
-    # cancel-after-pop must not corrupt the count.
-    if popped:
-        survivor = popped[-1]
-        survivor.cancel()
-        queue.note_cancelled(survivor)
-        assert len(queue) == len(naive)
+    assert len(fired) > 500
+    assert (recycled > 0) == recycling
 
 
-def test_event_queue_counts_exact_after_cancel_pop_clear():
-    queue = EventQueue()
-    events = [Event(time=float(i % 3), priority=0, fn=lambda: None) for i in range(10)]
+def test_kernel_counts_exact_after_cancel_fire_reset():
+    sim = Simulator()
+    events = [sim.schedule_at(float(i % 3), lambda: None) for i in range(10)]
+    assert sim.pending_events == 10
+    sim.cancel(events[0])
+    sim.cancel(events[0])  # double cancel: counted once
+    assert sim.pending_events == 9
+    assert sim.step()
+    first = next(event for event in events if event.fired)
+    sim.cancel(first)  # cancel after firing: a no-op
+    assert not first.cancelled and sim.pending_events == 8
+    sim.reset()
+    assert sim.pending_events == 0
     for event in events:
-        queue.push(event)
-    assert len(queue) == 10
-    events[0].cancel()
-    queue.note_cancelled(events[0])
-    queue.note_cancelled(events[0])  # double-cancel: no undercount
-    assert len(queue) == 9
-    first = queue.pop()
-    first.cancel()
-    queue.note_cancelled(first)  # cancel-after-pop: no phantom decrement
-    assert len(queue) == 8
-    queue.clear()
-    assert len(queue) == 0
-    for event in events:
-        queue.note_cancelled(event)  # cancel-after-clear: still exact
-    assert len(queue) == 0
+        sim.cancel(event)  # cancel after reset: still exact
+    assert sim.pending_events == 0
+    sim.schedule(1.0, lambda: None)
+    assert sim.pending_events == 1
 
 
 def regenerate() -> None:

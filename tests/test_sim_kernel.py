@@ -7,6 +7,10 @@ from repro.sim.events import EventPriority
 from repro.sim.kernel import Simulator
 
 
+def _boom():
+    raise RuntimeError("boom")
+
+
 class TestScheduling:
     def test_schedule_relative_delay(self):
         sim = Simulator()
@@ -210,6 +214,31 @@ class TestRunLoop:
         sim.run()
         assert "e" in error
 
+    def test_step_not_reentrant(self):
+        sim = Simulator()
+        error = {}
+        def nested():
+            try:
+                sim.step()
+            except SimulationError as exc:
+                error["e"] = exc
+        sim.schedule(1.0, nested)
+        sim.schedule(2.0, lambda: None)
+        assert sim.step()
+        assert "e" in error and sim.pending_events == 1
+
+    def test_step_runs_the_stop_conditions(self):
+        """A step is a one-event run: the stop conditions see it."""
+        sim = Simulator()
+        for i in range(3):
+            sim.schedule(float(i + 1), lambda: None)
+        seen = []
+        sim.add_stop_condition(lambda s: seen.append(s.now) or False)
+        assert sim.step() and sim.step()
+        assert seen == [1.0, 2.0]
+        assert sim.run() == 1 and not sim.step()
+        assert seen == [1.0, 2.0, 3.0]
+
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()
         seen = []
@@ -221,6 +250,37 @@ class TestRunLoop:
         sim.run()
         assert seen == [1, 2, 3]
         assert sim.now == 3.0
+
+
+class TestFiring:
+    def test_callback_receives_its_args(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(0.0, seen.append, 42)
+        sim.run()
+        assert seen == [42]
+
+    def test_raising_callback_leaves_its_event_spent(self):
+        """The kernel marks an event fired before calling back, so an
+        event whose callback raised is spent: cancelling it is a no-op."""
+        sim = Simulator()
+        event = sim.schedule(1.0, _boom)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert event.fired and not event.alive
+        sim.cancel(event)
+        assert not event.cancelled
+
+    def test_kernel_runs_again_after_a_raise(self):
+        sim = Simulator()
+        seen = []
+        sim.schedule(1.0, _boom)
+        sim.schedule(2.0, seen.append, "after")
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.now == 1.0 and sim.pending_events == 1
+        assert sim.run() == 1
+        assert seen == ["after"]
 
 
 class TestDeterminism:
@@ -259,7 +319,7 @@ class TestEventSlab:
         sim.schedule(0.2, fired.append, "anon")
         sim.run()
         assert fired == ["held", "anon"]
-        free = sim._queue._free
+        free = sim._free
         # The anonymous event went back to the slab; the held one kept
         # its identity and fields because this test still references it.
         assert len(free) == 1
@@ -276,13 +336,13 @@ class TestEventSlab:
         sim.schedule(0.2, fired.append, "b")
         sim.run()
         assert fired == ["a", "b"]
-        assert len(sim._queue) == 0
+        assert sim.pending_events == 0
 
     def test_recycled_shell_serves_next_schedule(self):
         sim = Simulator()
         sim.schedule(0.1, lambda: None)
         sim.run()
-        shell = sim._queue._free[-1]
+        shell = sim._free[-1]
         seq_before = shell.seq
         event = sim.schedule(0.5, lambda: None)
         assert event is shell
@@ -298,20 +358,20 @@ class TestEventSlab:
         del victim  # drop the external reference: recycling allowed
         sim.run()
         assert fired == ["other"]
-        assert len(sim._queue._free) == 2
+        assert len(sim._free) == 2
 
     def test_reset_keeps_slab_and_clears_state(self):
         sim = Simulator(seed=3)
         for i in range(5):
             sim.schedule(float(i), lambda: None)
         sim.run()
-        slab = len(sim._queue._free)
+        slab = len(sim._free)
         assert slab == 5
         sim.reset(seed=9)
         assert sim.now == 0.0
         assert sim.executed_events == 0
         assert sim.pending_events == 0
-        assert len(sim._queue._free) == slab
+        assert len(sim._free) == slab
         order = []
         rng = sim.rng.stream("jitter")
         for i in range(5):

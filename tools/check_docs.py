@@ -9,9 +9,11 @@ registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
 both, and README.md documents every ``repro campaign`` and ``repro
-workload`` flag.  This script fails
-(exit 1) when any registered axis name, analysis metric, or CLI flag
-is missing from the document that promises it, naming each gap.
+workload`` flag.  The docs also name source files by path, which rot
+when a module is deleted or moved.  This script fails (exit 1) when
+any registered axis name, analysis metric, or CLI flag is missing from
+the document that promises it, or when a backticked ``dir/file.py``
+path in README.md or docs/*.md names no file, naming each gap.
 
 Run from the repository root (CI does)::
 
@@ -23,6 +25,7 @@ a registry change without a docs update fails locally too.
 
 from __future__ import annotations
 
+import re
 import sys
 from pathlib import Path
 from typing import Dict, List
@@ -42,6 +45,12 @@ RESUME_FLAGS = ("--resume",)
 #: workload` flag: each sweep CLI is its own README section, and its
 #: flag set (from the same parser --help renders) must stay documented.
 SWEEP_CLI_DOCUMENT = "README.md"
+
+#: A backticked source path in the docs (``sim/kernel.py``) must exist
+#: under one of these directories of the repository.
+PATH_ROOTS = ("", "src", "src/repro")
+
+_SOURCE_PATH = re.compile(r"`([^`\s]*/[^`\s]*\.py)`")
 
 
 def _read_documents(root: Path, names, problems: List[str]) -> Dict[str, str]:
@@ -166,6 +175,19 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                         f"{SWEEP_CLI_DOCUMENT}: {command} flag `{flag}` "
                         "not documented"
                     )
+
+    # Source paths: every backticked `dir/file.py` in the README and
+    # docs/*.md must name an existing file, so a deleted or moved
+    # module cannot stay documented.
+    path_documents = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
+    for document in path_documents:
+        if not document.is_file():
+            continue
+        rel = document.relative_to(root).as_posix()
+        paths = set(_SOURCE_PATH.findall(document.read_text(encoding="utf-8")))
+        for path in sorted(paths):
+            if not any((root / base / path).is_file() for base in PATH_ROOTS):
+                problems.append(f"{rel}: path `{path}` does not exist")
     return problems
 
 
@@ -178,14 +200,14 @@ def main() -> int:
             f"docs-consistency: {len(problems)} problem(s); update "
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
-            "repro/analysis/cli.py, repro/scenarios/cli.py, and "
-            "repro/workload/cli.py",
+            "repro/analysis/cli.py, repro/scenarios/cli.py and "
+            "repro/workload/cli.py, and every documented path to the source tree",
             file=sys.stderr,
         )
         return 1
     print(
         "docs-consistency: all registry axes, analysis metrics, and "
-        "analyze flags documented"
+        "analyze flags documented; every documented path exists"
     )
     return 0
 
