@@ -1,7 +1,6 @@
 """Asynchronous Networks of Timed Automata (ANTA) — the specification
 formalism of the paper's Section 4, executable."""
 
-from .assembly import ANTANetwork
 from .automaton import TimedAutomaton
 from .render import render_spec, render_specs
 from .transitions import (
@@ -16,7 +15,6 @@ from .transitions import (
 )
 
 __all__ = [
-    "ANTANetwork",
     "AutomatonSpec",
     "EmitFn",
     "ReceiveSpec",

@@ -26,7 +26,6 @@ from ..clocks import DriftingClock, PERFECT_CLOCK
 from ..errors import AutomatonError
 from ..net.message import Envelope, MsgKind
 from ..net.network import Network
-from ..sim.decision_log import DECISION, SENT
 from ..sim.events import EventPriority
 from ..sim.kernel import Simulator
 from ..sim.process import Process
@@ -146,9 +145,12 @@ class TimedAutomaton(Process):
             )
             return
         # INPUT state: a durable automaton checkpoints at every input
-        # state — the quiescent points of the run — before waiting.
+        # state — the quiescent points of the run — before waiting.  The
+        # variables carry the timer base points (``u``, lock ids, …), so
+        # re-entering the checkpointed state after recovery re-derives
+        # every timeout deadline from durable data alone.
         if self.decision_log is not None:
-            self.checkpoint()
+            self.checkpoint(state=self.state, vars=dict(self.vars))
         # Drain buffered messages first, then arm timeouts.
         if self._try_consume_buffered():
             return
@@ -164,37 +166,22 @@ class TimedAutomaton(Process):
             return
         state = self.spec.states[state_name]
         assert state.emit is not None  # guaranteed by StateSpec validation
-        # Decision-grade output on a durable automaton: write-ahead
-        # protocol with the three declared crash points around it.
-        log = self.decision_log if state.decision else None
-        if log is not None:
-            self.reach_crash_point("pre-decision")
-            if self.crashed:
-                return
+        if not state.decision:
+            sends, next_state = state.emit(self)
+            for send in sends:
+                self.send(send.to, send.kind, send.payload)
+            self._enter(next_state)
+            return
+        # Decision-grade output: logged before its sends leave.
+        if self.reach_crash_point("pre-decision"):
+            return
         sends, next_state = state.emit(self)
-        if log is not None:
-            log.append(
-                DECISION,
-                state=state_name,
-                next_state=next_state,
-                sends=[
-                    (resolve_name(send.to, self), send.kind, send.payload)
-                    for send in sends
-                ],
-            )
-            log.sync()
-            self.reach_crash_point("post-sign-pre-send")
-            if self.crashed:
-                return
-        for send in sends:
-            self.send(send.to, send.kind, send.payload)
-        if log is not None:
-            log.append(SENT, state=state_name)
-            log.sync()
-            self.reach_crash_point("post-send")
-            if self.crashed:
-                return
-        self._enter(next_state)
+        resolved = [
+            (resolve_name(send.to, self), send.kind, send.payload)
+            for send in sends
+        ]
+        if self.send_decision(resolved, state=state_name, next_state=next_state):
+            self._enter(next_state)
 
     # -- sending ---------------------------------------------------------------
 
@@ -291,50 +278,27 @@ class TimedAutomaton(Process):
 
     # -- crash / recovery --------------------------------------------------
 
-    def _durable_state(self) -> Dict[str, Any]:
-        """Checkpoint payload: control state plus protocol variables.
-
-        The variables carry the timer base points (``u``, lock ids, …),
-        so re-entering the checkpointed state after recovery re-derives
-        every timeout deadline from durable data alone.
-        """
-        return {"state": self.state, "vars": dict(self.vars)}
-
     def restore(self) -> None:
         """Replay the decision log, then rejoin the automaton's run.
 
         Volatile state (message buffer, in-memory variables) is wiped
         and rebuilt from the durable records: the newest checkpoint
-        restores ``state``/``vars``; a decision record after it is an
-        irrevocable commitment — its messages are retransmitted unless
-        the ``sent`` marker also survived — and the automaton resumes
-        in the decision's successor state.  With no checkpoint at all
-        the automaton restarts from its initial state.
+        restores ``state``/``vars``; a decision logged after it is an
+        irrevocable commitment (:meth:`~repro.sim.process.Process.replay`
+        retransmits it unless its ``sent`` marker survived) and the
+        automaton resumes in the decision's successor state.  With no
+        checkpoint at all the automaton restarts from its initial state.
         """
-        log = self.decision_log
         self._buffer.clear()
         self.cancel_all_timers()
-        if log is None:  # pragma: no cover - recover() without durability
-            self.vars = {}
-            self._enter(self.spec.initial)
-            return
-        _, ckpt = log.last_checkpoint()
-        tail = log.since_checkpoint()
-        self.vars = dict(ckpt["vars"]) if ckpt is not None else {}
-        decision = next(
-            (record for record in tail if record["kind"] == DECISION), None
-        )
+        checkpoint, decision = self.replay()
+        self.vars = dict(checkpoint["vars"]) if checkpoint is not None else {}
         if decision is not None:
-            sent = any(record["kind"] == SENT for record in tail)
-            if not sent:
-                for to, kind, payload in decision["sends"]:
-                    self.send(to, kind, payload)
             self._enter(decision["next_state"])
-            return
-        if ckpt is not None:
-            self._enter(ckpt["state"])
-            return
-        self._enter(self.spec.initial)
+        elif checkpoint is not None:
+            self._enter(checkpoint["state"])
+        else:
+            self._enter(self.spec.initial)
 
     # -- introspection -------------------------------------------------------------
 

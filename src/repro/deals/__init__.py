@@ -9,7 +9,6 @@ from .reduction import (
     all_abort_acceptable_for_deal,
     deal_as_payment,
     payment_as_deal,
-    payment_deal_is_well_formed,
     separation_report,
 )
 from .timelock import build_timelock_deal
@@ -29,6 +28,5 @@ __all__ = [
     "deal_position",
     "dominates",
     "payment_as_deal",
-    "payment_deal_is_well_formed",
     "separation_report",
 ]

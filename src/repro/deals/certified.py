@@ -5,7 +5,8 @@ funds move only on a commit decision, return on abort.  The decision is
 derived from a shared certified blockchain: every arc escrow publishes
 an "escrowed" record; parties may publish abort requests when they lose
 patience; the first of {abort published, all arcs escrowed} in log
-order wins.
+order wins — the transaction manager's rule
+(:class:`~repro.protocols.weak.tm.TMVotes`) with no commit requests.
 
 Per [3] (and our paper's Section 5): Safety and Termination hold even
 under partial synchrony, but **strong liveness** cannot — an abort
@@ -15,7 +16,7 @@ deal everyone wanted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..clocks import DriftingClock, PERFECT_CLOCK
 from ..crypto.certificates import Decision, DecisionCertificate
@@ -23,9 +24,10 @@ from ..crypto.keys import Identity
 from ..errors import DealError
 from ..ledger.asset import Amount
 from ..ledger.blockchain import Receipt, SimpleChain
-from ..ledger.contracts import CertifiedBroadcastContract, PublicationRecord
+from ..ledger.contracts import CertifiedBroadcastContract
 from ..ledger.ledger import Ledger
 from ..net.message import Envelope, MsgKind
+from ..protocols.weak.tm import TMVotes
 from ..sim.process import Process
 from ..sim.trace import TraceKind
 from .common import DealEnv, arc_escrow_name
@@ -156,7 +158,14 @@ class CertifiedDealObserver(Process):
             return
         contract = self.chain.contract("log")
         assert isinstance(contract, CertifiedBroadcastContract)
-        decision = self._derive(contract.log, receipt.block_height)
+        votes = TMVotes(self.arcs, ())
+        decision = None
+        for record in contract.log:
+            if decision is not None or record.height > receipt.block_height:
+                break
+            payload = record.payload
+            if isinstance(payload, dict):
+                decision = votes.add(payload.get("kind"), str(payload.get("arc")))
         if decision is None:
             return
         self.broadcasted = True
@@ -166,22 +175,6 @@ class CertifiedDealObserver(Process):
         )
         for recipient in self.recipients:
             self.network.send(self, recipient, MsgKind.DECISION, cert)
-
-    def _derive(self, log: List[PublicationRecord], up_to: int) -> Optional[Decision]:
-        escrowed: Set[str] = set()
-        for record in log:
-            if record.height > up_to:
-                break
-            payload = record.payload
-            if not isinstance(payload, dict):
-                continue
-            if payload.get("kind") == "abort":
-                return Decision.ABORT
-            if payload.get("kind") == "escrowed":
-                escrowed.add(str(payload.get("arc")))
-            if escrowed == self.arcs:
-                return Decision.COMMIT
-        return None
 
 
 class CertifiedDealParty(Process):
@@ -242,7 +235,12 @@ class CertifiedDealParty(Process):
                 "op": "submit_tx",
                 "contract": "log",
                 "method": "publish",
-                "args": {"payload": {"kind": "abort", "party": self.name}},
+                "args": {
+                    "payload": {
+                        "kind": MsgKind.ABORT_REQUEST.value,
+                        "party": self.name,
+                    }
+                },
             },
         )
 

@@ -45,14 +45,6 @@ def payment_as_deal(topology: PaymentTopology) -> DealMatrix:
     return DealMatrix.from_dict(topology.customers(), arcs)
 
 
-def payment_deal_is_well_formed(topology: PaymentTopology) -> bool:
-    """Whether the payment's deal encoding is a well-formed deal.
-
-    Always ``False`` for ``n >= 1``: a path is never strongly connected.
-    """
-    return payment_as_deal(topology).is_well_formed()
-
-
 def all_abort_acceptable_for_deal(matrix: DealMatrix) -> bool:
     """Whether the all-abort outcome satisfies the deal Safety notion.
 
@@ -120,6 +112,5 @@ __all__ = [
     "all_abort_acceptable_for_deal",
     "deal_as_payment",
     "payment_as_deal",
-    "payment_deal_is_well_formed",
     "separation_report",
 ]

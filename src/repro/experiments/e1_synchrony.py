@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..properties import check_definition1
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..verification.properties import check_outcome
 from .harness import (
     ExperimentResult,
     fraction,
@@ -30,7 +30,13 @@ def trial(spec) -> Dict[str, Any]:
     session = payment_session(spec)
     outcome = session.run()
     bound = session.protocol_instance.params.global_termination_bound()
-    report = check_definition1(outcome, termination_bound=bound)
+    report = check_outcome(
+        outcome,
+        spec.opt("protocol"),
+        spec.opt("timing"),
+        spec.opt("protocol_options"),
+        termination_bound=bound,
+    )
     return {
         "bob_paid": outcome.bob_paid,
         "def1_ok": report.all_ok,

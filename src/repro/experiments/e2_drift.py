@@ -25,8 +25,8 @@ from __future__ import annotations
 from typing import Any, Dict
 
 from ..clocks import extremal_clock
-from ..properties import check_definition1
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..verification.properties import check_outcome
 from .harness import ExperimentResult, fraction, payment_session, seeds_for
 
 DELTA = 1.0
@@ -38,21 +38,23 @@ FAST_ESCROW = "e1"
 
 def trial(spec) -> Dict[str, Any]:
     rho = spec.opt("rho_clock")
-    session = payment_session(
+    protocol_options = {
+        "epsilon": EPSILON,
+        "rho": rho,
+        "drift_tuned": spec.opt("drift_tuned"),
+        "margin": MARGIN,
+        "processing_floor": EPSILON,  # pin processing at its bound
+    }
+    outcome = payment_session(
         spec,
         # All delays exactly at the bound: the adversarially slow network
         # the calculus must survive.
         clocks={FAST_ESCROW: extremal_clock(rho, fast=True)},
-        protocol_options={
-            "epsilon": EPSILON,
-            "rho": rho,
-            "drift_tuned": spec.opt("drift_tuned"),
-            "margin": MARGIN,
-            "processing_floor": EPSILON,  # pin processing at its bound
-        },
+        protocol_options=protocol_options,
+    ).run()
+    report = check_outcome(
+        outcome, spec.opt("protocol"), spec.opt("timing"), protocol_options
     )
-    outcome = session.run()
-    report = check_definition1(outcome)
     # A connector is monetarily harmed when her position has a negative
     # component and is not the success position — she paid downstream
     # without being paid upstream.  (If she is still waiting, the T

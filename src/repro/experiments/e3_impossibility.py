@@ -22,8 +22,8 @@ from typing import Any, Dict
 
 from ..core.params import TimingAssumptions, compute_graph_params
 from ..core.topology import PaymentTopology
-from ..properties import check_definition1, check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..verification.properties import check_outcome
 from .harness import ExperimentResult, payment_session
 
 EPSILON = 0.05
@@ -33,8 +33,10 @@ N = 3
 def trial(spec) -> Dict[str, Any]:
     from ..net.adversary import CertificateWithholdingAdversary
 
-    variant = spec.opt("variant")
-    if variant == "bounded":
+    gst = spec.opt("gst")
+    timing = spec.opt("timing")
+    protocol_options = spec.opt("protocol_options")
+    if spec.opt("variant") == "bounded":
         assumed = spec.opt("assumed_delta")
         params = compute_graph_params(
             PaymentTopology.linear(N),
@@ -42,30 +44,17 @@ def trial(spec) -> Dict[str, Any]:
         )
         # Adaptive adversary: pick GST beyond the whole timeout horizon.
         gst = 4.0 * params.global_termination_bound()
-        session = payment_session(
-            spec,
-            timing=("partial", {"gst": gst, "delta": 1.0}),
-            adversary=CertificateWithholdingAdversary(),
-            protocol_options={"delta": assumed, "epsilon": EPSILON},
-        )
-        outcome = session.run()
-        report = check_definition1(outcome)
-    elif variant == "no_timeout":
-        gst = spec.opt("gst")
-        session = payment_session(
-            spec, adversary=CertificateWithholdingAdversary()
-        )
-        outcome = session.run()
-        report = check_definition1(outcome)
-    elif variant == "weak":
-        gst = spec.opt("gst")
-        session = payment_session(
-            spec, adversary=CertificateWithholdingAdversary()
-        )
-        outcome = session.run()
-        report = check_definition2(outcome, patient=False)
-    else:  # pragma: no cover - builder/trial mismatch
-        raise ValueError(f"unknown E3 variant: {variant!r}")
+        timing = ("partial", {"gst": gst, "delta": 1.0})
+        protocol_options = {"delta": assumed, "epsilon": EPSILON}
+    outcome = payment_session(
+        spec,
+        timing=timing,
+        adversary=CertificateWithholdingAdversary(),
+        protocol_options=protocol_options,
+    ).run()
+    report = check_outcome(
+        outcome, spec.opt("protocol"), timing, protocol_options
+    )
     return {
         "gst": gst,
         "chi_issued": outcome.chi_issued(),

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..properties import check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..verification.properties import check_outcome
 from .harness import ExperimentResult, fraction, seeds_for, payment_session
 
 N = 3
@@ -27,21 +27,15 @@ BYZ_CASES = [
 
 def trial(spec) -> Dict[str, Any]:
     patience = spec.opt("patience")
-    outcome = payment_session(
-        spec,
-        protocol_options={
-            "tm": "trusted",
-            "patience_setup": patience,
-            "patience_decision": patience,
-        },
-    ).run()
-    if spec.opt("byzantine"):
-        patient = False
-    else:
-        # "Patient enough" in this world = patience comfortably past
-        # GST + decision round-trips:
-        patient = patience > GST + 10 * DELTA
-    report = check_definition2(outcome, patient=patient)
+    protocol_options = {
+        "tm": "trusted",
+        "patience_setup": patience,
+        "patience_decision": patience,
+    }
+    outcome = payment_session(spec, protocol_options=protocol_options).run()
+    report = check_outcome(
+        outcome, spec.opt("protocol"), spec.opt("timing"), protocol_options
+    )
     return {
         "committed": "commit" in outcome.decision_kinds_issued(),
         "bob_paid": outcome.bob_paid,

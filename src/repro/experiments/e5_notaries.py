@@ -23,10 +23,10 @@ from ..crypto.certificates import Decision
 from ..crypto.keys import KeyRing
 from ..net.network import Network
 from ..net.timing import PartialSynchrony
-from ..properties import check_definition2
 from ..runtime import SweepResult, SweepSpec, resolve_executor
 from ..sim.kernel import Simulator
 from ..sim.trace import TraceKind
+from ..verification.properties import check_outcome
 from .harness import ExperimentResult, payment_session
 
 N_ESCROWS = 2
@@ -140,15 +140,15 @@ def trial(spec) -> Dict[str, Any]:
         # Specs carry plain lists; the TM registry expects tuples.
         if isinstance(tm, (list, tuple)):
             tm = (tm[0], dict(tm[1]))
-    outcome = payment_session(
-        spec,
-        protocol_options={
-            "tm": tm,
-            "patience_setup": 10_000.0,
-            "patience_decision": 10_000.0,
-        },
-    ).run()
-    report = check_definition2(outcome, patient=True)
+    protocol_options = {
+        "tm": tm,
+        "patience_setup": 10_000.0,
+        "patience_decision": 10_000.0,
+    }
+    outcome = payment_session(spec, protocol_options=protocol_options).run()
+    report = check_outcome(
+        outcome, spec.opt("protocol"), spec.opt("timing"), protocol_options
+    )
     if variant == "equivocating":
         decision_time = float("nan")  # no single honest decision point
     else:

@@ -12,30 +12,33 @@ from typing import Any, Dict
 
 from ..core.topology import PaymentTopology
 from ..net.message import MsgKind
-from ..net.timing import Synchronous
 from ..runtime import SweepResult, SweepSpec, resolve_executor
-from ..verification.properties import (
-    definition1_violations,
-    definition2_violations,
-)
-from .harness import ExperimentResult
+from ..verification.properties import check_outcome
+from .harness import ExperimentResult, build_timing
 
-#: check name (in trial specs) -> shared violation-listing callable.
-_CHECKS = {"def1": definition1_violations, "def2": definition2_violations}
+#: The explored runs' timing descriptor (model and checker share it).
+TIMING = ("synchronous", {"delta": 1.0})
 
 
 def trial(spec) -> Dict[str, Any]:
     from ..verification import explore_payment
 
     n = spec.opt("n")
+    protocol = spec.opt("protocol")
+    protocol_options = dict(spec.opt("protocol_options") or {})
+
+    def check(outcome):
+        report = check_outcome(outcome, protocol, TIMING, protocol_options)
+        return [repr(v) for v in report.violations()]
+
     report = explore_payment(
         topology_factory=lambda n=n: PaymentTopology.linear(n),
-        protocol=spec.opt("protocol"),
-        timing_factory=lambda: Synchronous(1.0),
-        check=_CHECKS[spec.opt("check")],
+        protocol=protocol,
+        timing_factory=lambda: build_timing(TIMING),
+        check=check,
         choices=list(spec.opt("choices")),
         seed=spec.seed,
-        protocol_options=dict(spec.opt("protocol_options") or {}),
+        protocol_options=protocol_options,
         decision_kinds=(
             MsgKind.MONEY,
             MsgKind.CERTIFICATE,
@@ -55,20 +58,17 @@ def trial(spec) -> Dict[str, Any]:
 def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
     max_paths = 3000 if quick else 40_000
     configs = [
-        ("timebounded n=1", 1, "timebounded", [0.0, 0.5, 1.0], "def1", {}),
-        ("timebounded n=2", 2, "timebounded", [0.0, 1.0], "def1", {}),
+        ("timebounded n=1", 1, "timebounded", [0.0, 0.5, 1.0], {}),
+        ("timebounded n=2", 2, "timebounded", [0.0, 1.0], {}),
     ]
     if not quick:
-        configs.append(
-            ("timebounded n=3", 3, "timebounded", [0.0, 1.0], "def1", {})
-        )
+        configs.append(("timebounded n=3", 3, "timebounded", [0.0, 1.0], {}))
     configs.append(
         (
             "weak n=1 (trusted TM)",
             1,
             "weak",
             [0.0, 1.0],
-            "def2",
             {
                 "tm": "trusted",
                 "patience_setup": 10_000.0,
@@ -77,7 +77,7 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
         )
     )
     sweep = SweepSpec(sweep_id="E8")
-    for label, n, protocol, choices, check, options in configs:
+    for label, n, protocol, choices, options in configs:
         sweep.add(
             trial,
             seed,
@@ -86,7 +86,6 @@ def build_sweep(quick: bool = True, seed: int = 0) -> SweepSpec:
             n=n,
             protocol=protocol,
             choices=choices,
-            check=check,
             protocol_options=options,
             max_paths=max_paths,
         )

@@ -19,8 +19,8 @@ from __future__ import annotations
 
 from typing import Any, Dict
 
-from ..properties import check_definition1
 from ..runtime import SweepResult, SweepSpec, resolve_executor
+from ..verification.properties import check_outcome
 from .harness import ExperimentResult, fraction, payment_session, seeds_for
 
 DELTA = 1.0
@@ -47,8 +47,12 @@ def trial(spec) -> Dict[str, Any]:
     return {
         "a0": params.a_of(session.topology.escrow(0)),
         "bound": bound,
-        "honest_ok": check_definition1(
-            outcome, termination_bound=bound
+        "honest_ok": check_outcome(
+            outcome,
+            spec.opt("protocol"),
+            spec.opt("timing"),
+            protocol_options,
+            termination_bound=bound,
         ).all_ok,
         "honest_end": outcome.end_time,
         "refund_end": outcome2.end_time,

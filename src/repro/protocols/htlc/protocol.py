@@ -54,7 +54,6 @@ from ...errors import ProtocolError
 from ...ledger.asset import Amount
 from ...ledger.ledger import Ledger
 from ...net.message import Envelope, MsgKind
-from ...sim.decision_log import CHECKPOINT, DECISION, SENT
 from ...sim.process import Process
 from ...sim.trace import TraceKind
 from ..base import PaymentProtocol, check_supported, register_protocol
@@ -120,7 +119,7 @@ class HTLCEscrow(Process):
         self.deadline_local = float(deadline)
         # Lock and deadline are on-ledger facts; checkpoint them so a
         # restored escrow can re-arm the refund timer.
-        self.checkpoint()
+        self.checkpoint(lock_id=self.lock_id, deadline_local=self.deadline_local)
         self.set_timer_at("deadline", self.clock.global_time(self.deadline_local))
         # Tell the beneficiary the lock exists (and when it expires):
         self._announce_setup()
@@ -152,8 +151,7 @@ class HTLCEscrow(Process):
             return  # too late: the refund path owns the lock now
         # Crash before acting on the claim: the claim message is lost;
         # restore re-announces the setup and the claimant retries.
-        self.reach_crash_point("pre-decision")
-        if self.crashed:
+        if self.reach_crash_point("pre-decision"):
             return
         self.resolved = True
         self.cancel_timer("deadline")
@@ -180,8 +178,7 @@ class HTLCEscrow(Process):
         # Crash before the refund is executed: the lock survives on the
         # ledger and the restored escrow re-arms the (now past)
         # deadline, refunding immediately after recovery.
-        self.reach_crash_point("pre-decision")
-        if self.crashed:
+        if self.reach_crash_point("pre-decision"):
             return
         self.resolved = True
         self.ledger.escrow_refund(self.lock_id)
@@ -199,62 +196,29 @@ class HTLCEscrow(Process):
 
     def _resolve(self, outcome: str, sends) -> None:
         """Write-ahead the resolution, transmit it, and terminate."""
-        log = self.decision_log
-        if log is not None:
-            log.append(DECISION, outcome=outcome, sends=sends)
-            log.sync()
-            self.reach_crash_point("post-sign-pre-send")
-            if self.crashed:
-                return
-        for to, kind, payload in sends:
-            self.network.send(self, to, kind, payload)
-        if log is not None:
-            log.append(SENT)
-            log.sync()
-            self.reach_crash_point("post-send")
-            if self.crashed:
-                return
-        self.terminate(reason=outcome)
+        if self.send_decision(sends, outcome=outcome):
+            self.terminate(reason=outcome)
 
     # -- crash recovery ------------------------------------------------------
-
-    def _durable_state(self):
-        return {"lock_id": self.lock_id, "deadline_local": self.deadline_local}
 
     def restore(self) -> None:
         """Replay the log: finish a logged resolution, or re-arm the lock.
 
-        A logged resolution is completed (retransmitting whatever never
-        made it out); an unresolved lock gets its refund deadline
-        re-armed from the durable local deadline — firing immediately
-        when the deadline passed during downtime — and its setup
-        re-announced downstream so a claim lost in the crash is retried.
+        A logged resolution is completed (:meth:`~repro.sim.process.Process.replay`
+        retransmits whatever never made it out); an unresolved lock gets
+        its refund deadline re-armed from the durable local deadline —
+        firing immediately when the deadline passed during downtime —
+        and its setup re-announced downstream so a claim lost in the
+        crash is retried.
         """
-        log = self.decision_log
-        if log is None:  # pragma: no cover - recover() implies a log
-            return
-        self.lock_id = None
-        self.deadline_local = None
-        self.resolved = False
-        decision_record = None
-        sent = False
-        for record in log.records():
-            kind = record["kind"]
-            if kind == CHECKPOINT:
-                self.lock_id = record.get("lock_id")
-                self.deadline_local = record.get("deadline_local")
-            elif kind == DECISION:
-                decision_record = record
-            elif kind == SENT:
-                sent = True
-        if decision_record is not None:
-            self.resolved = True
-            if not sent:
-                for to, kind, payload in decision_record["sends"]:
-                    self.network.send(self, to, kind, payload)
-            self.terminate(reason=f"{decision_record['outcome']} (recovered)")
-            return
-        if self.lock_id is not None:
+        checkpoint, decision = self.replay()
+        durable = checkpoint or {}
+        self.lock_id = durable.get("lock_id")
+        self.deadline_local = durable.get("deadline_local")
+        self.resolved = decision is not None
+        if decision is not None:
+            self.terminate(reason=f"{decision['outcome']} (recovered)")
+        elif self.lock_id is not None:
             self.set_timer_at(
                 "deadline", self.clock.global_time(self.deadline_local)
             )

@@ -23,7 +23,6 @@ from ...crypto.signatures import SignedClaim
 from ...ledger.asset import Amount
 from ...ledger.ledger import Ledger
 from ...net.message import Envelope, MsgKind
-from ...sim.decision_log import CHECKPOINT, DECISION, SENT
 from ...sim.process import Process
 from ...sim.trace import TraceKind
 from .tm import DecisionListener, TMBackend, VerifiedDecision
@@ -103,7 +102,7 @@ class WeakEscrow(Process):
         self.lock_id = lock.lock_id
         # The lock is on-ledger (durable); checkpoint its id so a
         # restored escrow knows it holds money and must re-report.
-        self.checkpoint()
+        self.checkpoint(lock_id=self.lock_id)
         claim = SignedClaim.make(
             self.identity, payment_id=self.payment_id, kind="escrowed"
         )
@@ -127,8 +126,7 @@ class WeakEscrow(Process):
         # Crash before the decision is acted on: the certificate
         # envelope is lost with the volatile state; a restored escrow
         # must re-query the TM to learn the verdict again.
-        self.reach_crash_point("pre-decision")
-        if self.crashed:
+        if self.reach_crash_point("pre-decision"):
             return
         self.decision_seen = decision
         self.sim.trace.record(
@@ -153,64 +151,31 @@ class WeakEscrow(Process):
                     MsgKind.MONEY,
                     {"amount": self.amount, "note": "refund"},
                 ))
-        log = self.decision_log
-        if log is not None:
-            # Write-ahead: the ledger op is on-chain already, the
-            # notifications are not — log them before transmitting so a
-            # post-sign-pre-send crash can retransmit on restore.
-            log.append(
-                DECISION, decision=decision.decision.value, sends=sends
-            )
-            log.sync()
-            self.reach_crash_point("post-sign-pre-send")
-            if self.crashed:
-                return
-        for to, kind, payload in sends:
-            self.network.send(self, to, kind, payload)
-        if log is not None:
-            log.append(SENT)
-            log.sync()
-            self.reach_crash_point("post-send")
-            if self.crashed:
-                return
-        self.terminate(reason=f"decision {decision.decision.value}")
+        # Write-ahead: the ledger op is on-chain already, the
+        # notifications are not — log them before transmitting so a
+        # post-sign-pre-send crash can retransmit on restore.
+        if self.send_decision(sends, decision=decision.decision.value):
+            self.terminate(reason=f"decision {decision.decision.value}")
 
     # -- crash recovery ------------------------------------------------------
-
-    def _durable_state(self):
-        return {"lock_id": self.lock_id}
 
     def restore(self) -> None:
         """Replay the decision log; if still in doubt, ask the TM again.
 
         Mirrors an in-doubt 2PC participant: a logged decision is
-        re-executed (retransmitting any notifications that never made
-        it out), an escrow that crashed before the decision re-reports
-        its on-ledger lock and re-queries the verdict — the one-shot
-        decision broadcast may have happened while it was down.
+        re-executed (:meth:`~repro.sim.process.Process.replay`
+        retransmits any notifications that never made it out), an
+        escrow that crashed before the decision re-reports its on-ledger
+        lock and re-queries the verdict — the one-shot decision
+        broadcast may have happened while it was down.
         """
-        log = self.decision_log
-        if log is None:  # pragma: no cover - recover() implies a log
-            return
-        self.lock_id = None
-        decision_record = None
-        sent = False
-        for record in log.records():
-            kind = record["kind"]
-            if kind == CHECKPOINT:
-                self.lock_id = record.get("lock_id")
-            elif kind == DECISION:
-                decision_record = record
-            elif kind == SENT:
-                sent = True
-        if decision_record is not None:
-            value = decision_record["decision"]
+        checkpoint, decision = self.replay()
+        self.lock_id = (checkpoint or {}).get("lock_id")
+        if decision is not None:
+            value = decision["decision"]
             self.decision_seen = VerifiedDecision(
                 decision=Decision(value), certificate=None
             )
-            if not sent:
-                for to, kind, payload in decision_record["sends"]:
-                    self.network.send(self, to, kind, payload)
             self.terminate(reason=f"decision {value} (recovered)")
             return
         if self.lock_id is not None:

@@ -1,13 +1,13 @@
 """Write-ahead decision log for durable (crash–recovery) actors.
 
 A :class:`DecisionLog` is a process's stable storage: an append-only
-sequence of records (decisions sent and received, signatures issued,
-timer state captured in checkpoints) with an explicit **fsync
-boundary**.  Appends land in a volatile tail; :meth:`sync` advances the
-boundary.  A crash (:meth:`crash`) discards the volatile tail — except
-that, like a real block device, the tail may have *partially* reached
-the platter: ``torn_chars`` of the unsynced byte stream survive, which
-can leave a torn final record.  :meth:`salvage` implements the same
+sequence of records (decisions and their messages, timer state
+captured in checkpoints) with an explicit **fsync boundary**.  Appends
+land in a volatile tail; :meth:`sync` advances the boundary.  A crash
+(:meth:`crash`) discards the volatile tail — except that, like a real
+block device, the tail may have *partially* reached the platter:
+``torn_chars`` of the unsynced byte stream survive, which can leave a
+torn final record.  :meth:`salvage` implements the same
 contract as :func:`repro.runtime.persist.scan_records` for campaign
 directories: a torn trailing fragment is silently dropped, corruption
 *before* the final record raises :class:`~repro.errors.RecoveryError`.
@@ -17,16 +17,16 @@ Records are plain dicts; each is mirrored as one encoded JSON line
 the byte stream the fsync boundary measures is well defined while
 replay code reads the original objects via :meth:`durable_records`.
 
-The recovery protocol built on top (see :mod:`repro.sim.faults` and
-the protocol packages) uses four record kinds:
+The recovery protocol built on top uses three record kinds;
+:meth:`repro.sim.process.Process.send_decision` writes the last two,
+:meth:`~repro.sim.process.Process.replay` reads them back (see also
+:mod:`repro.sim.faults`):
 
 * ``checkpoint`` — a quiescent snapshot of the actor's durable state
   (control state, protocol variables, timer deadlines);
 * ``decision`` — a decision was computed and signed, *before* its
   messages leave (the classic write-ahead rule);
-* ``sent`` — the decision's messages were handed to the network;
-* ``received`` — a decision-grade message (a certificate, a verified
-  decision) arrived and was accepted.
+* ``sent`` — the decision's messages were handed to the network.
 
 >>> log = DecisionLog("e1")
 >>> log.append("checkpoint", state="await_certificate")
@@ -50,7 +50,6 @@ from ..errors import RecoveryError
 CHECKPOINT = "checkpoint"
 DECISION = "decision"
 SENT = "sent"
-RECEIVED = "received"
 
 
 def encode_record(record: Dict[str, Any]) -> str:
@@ -186,7 +185,6 @@ __all__ = [
     "CHECKPOINT",
     "DECISION",
     "DecisionLog",
-    "RECEIVED",
     "SENT",
     "encode_record",
 ]

@@ -23,9 +23,10 @@ places where write-ahead logging changes what survives:
 
 A :class:`FaultInjector` carries one such plan for one victim and is
 attached to the victim by :meth:`~repro.core.session.PaymentSession.launch`;
-protocol code reports points via
-:meth:`~repro.sim.process.Process.reach_crash_point`, which is a no-op
-(one attribute read) for every process without an injector — the
+protocol code reports ``pre-decision`` itself and
+:meth:`~repro.sim.process.Process.send_decision` reports the other two,
+all via :meth:`~repro.sim.process.Process.reach_crash_point`, which is
+one attribute read for every process without an injector — the
 recovery machinery costs nothing when no crash is scheduled.
 """
 

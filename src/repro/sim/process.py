@@ -12,7 +12,10 @@ It offers
   ``checkpoint()`` / ``restore()`` hooks) driven by an attached
   :class:`~repro.sim.faults.FaultInjector`.  A process without an
   injector pays one attribute read per declared crash point and
-  nothing else.
+  nothing else;
+* the write-ahead decision path every durable participant shares:
+  :meth:`Process.send_decision` logs a decision before its messages
+  leave, and :meth:`Process.replay` reads the log back on restore.
 
 Processes deliberately do not subclass anything from :mod:`threading` —
 the simulation is sequential and deterministic.
@@ -20,10 +23,10 @@ the simulation is sequential and deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
-from .decision_log import CHECKPOINT, DecisionLog
+from .decision_log import CHECKPOINT, DECISION, SENT, DecisionLog
 from .events import Event, EventPriority
 from .kernel import Simulator
 from .trace import TraceKind
@@ -186,11 +189,16 @@ class Process:
         if self.decision_log is None:
             self.decision_log = DecisionLog(owner=self.name)
 
-    def reach_crash_point(self, point: str) -> None:
-        """Report reaching a named crash point to the injector, if any."""
+    def reach_crash_point(self, point: str) -> bool:
+        """Report reaching a named crash point to the injector, if any.
+
+        Returns whether the process is down afterwards, so a site stops
+        with one ``if``.
+        """
         injector = self.fault_injector
         if injector is not None:
             injector.reach(self, point)
+        return self.crashed
 
     def crash(self) -> None:
         """Fail-stop: lose volatile state, keep the decision log's
@@ -231,23 +239,63 @@ class Process:
                 self.sim.now, _FAULT, self.name, fault="recovered"
             )
 
-    def checkpoint(self) -> None:
-        """Fsync a checkpoint of the durable state, if storage exists."""
+    def checkpoint(self, **state: Any) -> None:
+        """Fsync a checkpoint of ``state``, if storage exists."""
         log = self.decision_log
         if log is not None:
-            log.append(CHECKPOINT, **self._durable_state())
+            log.append(CHECKPOINT, **state)
             log.sync()
 
-    def _durable_state(self) -> Dict[str, Any]:
-        """What a checkpoint records.  Subclasses override."""
-        return {}
+    def send_decision(
+        self, sends: Sequence[Tuple[str, Any, Any]], **record: Any
+    ) -> bool:
+        """Transmit a decision's ``(to, kind, payload)`` sends, write-ahead.
+
+        With a log: fsync a ``decision`` record carrying ``sends`` and
+        the caller's ``record`` fields, reach ``post-sign-pre-send``,
+        transmit, fsync a ``sent`` marker, reach ``post-send``.  Without
+        one it only transmits.  Returns whether the process is still up;
+        the caller's ``pre-decision`` point comes before its own effects.
+        """
+        log = self.decision_log
+        if log is not None:
+            log.append(DECISION, sends=sends, **record)
+            log.sync()
+            if self.reach_crash_point("post-sign-pre-send"):
+                return False
+        send = self.network.send
+        for to, kind, payload in sends:
+            send(self, to, kind, payload)
+        if log is None:
+            return True
+        log.append(SENT)
+        log.sync()
+        return not self.reach_crash_point("post-send")
+
+    def replay(self) -> Tuple[Optional[Dict[str, Any]], Optional[Dict[str, Any]]]:
+        """Read the durable log back: ``(checkpoint, decision)``.
+
+        ``checkpoint`` is the newest durable checkpoint and ``decision``
+        the first decision logged after it (either may be ``None``).  A
+        decision whose ``sent`` marker did not survive is retransmitted
+        here, so the caller only completes its local transition.
+        """
+        log = self.decision_log
+        _, checkpoint = log.last_checkpoint()
+        tail = log.since_checkpoint()
+        decision = next((r for r in tail if r["kind"] == DECISION), None)
+        if decision is not None and not any(r["kind"] == SENT for r in tail):
+            send = self.network.send
+            for to, kind, payload in decision["sends"]:
+                send(self, to, kind, payload)
+        return checkpoint, decision
 
     def restore(self) -> None:
         """Replay the decision log and rejoin.  Subclasses override.
 
-        Called by :meth:`recover` with ``recovering`` set; the base
-        implementation does nothing (a stateless process needs no
-        replay).
+        Called by :meth:`recover` with ``recovering`` set; overrides
+        start from :meth:`replay`.  The base implementation does nothing
+        (a stateless process needs no replay).
         """
 
     def note(self, text: str, **data: Any) -> None:

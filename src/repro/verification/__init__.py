@@ -13,8 +13,6 @@ from .properties import (
     DEFINITION_PROFILES,
     DefinitionProfile,
     check_outcome,
-    definition1_violations,
-    definition2_violations,
     definition_profile,
     patience_is_sufficient,
     property_columns,
@@ -27,8 +25,6 @@ __all__ = [
     "ExplorationReport",
     "ScriptedDelayAdversary",
     "check_outcome",
-    "definition1_violations",
-    "definition2_violations",
     "definition_profile",
     "explore",
     "explore_payment",

@@ -1,19 +1,15 @@
 """The shared Definition 1 / Definition 2 property checker.
 
-Before this module, the glue that turns a finished
+This module turns a finished
 :class:`~repro.core.outcomes.PaymentOutcome` into a *definition-level*
-verdict lived in three private copies: the explorer's callers built
-their own violation-listing closures (E8), E1/E4 hand-picked the
-definition and its preconditions, and campaigns reported no property
-columns at all.  This module is the single home for that glue, used by
+verdict, and :func:`check_outcome` is its one entry point, used by
 
-* :mod:`repro.scenarios.trial` — every campaign trial reports
-  ``def1_ok`` / ``def2_ok`` columns via :func:`property_columns`, so
-  campaign tables show *where* the paper's success guarantees hold;
-* :mod:`repro.experiments.e8_exploration` and other
-  :func:`~repro.verification.explorer.explore` callers — the
-  :func:`definition1_violations` / :func:`definition2_violations`
-  check callables.
+* :mod:`repro.scenarios.trial` — every campaign and workload record
+  reports ``def1_ok`` / ``def2_ok`` columns via :func:`property_columns`,
+  so campaign tables show *where* the paper's success guarantees hold;
+* the experiments E1–E5 and E9, which call it on each payment run;
+* E8's :func:`~repro.verification.explorer.explore` check, which lists
+  its violations.
 
 Which definition applies is a property of the protocol
 (:data:`DEFINITION_PROFILES`): the time-bounded and HTLC protocols
@@ -36,14 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from ..errors import VerificationError
 from ..properties import CheckReport, check_definition1, check_definition2
 
 #: Decision round-trips a patient customer must be able to wait out on
-#: top of the network's settling point (GST); mirrors E4's reading of
-#: "patient enough" (``patience > GST + 10 Δ``).
+#: top of the network's settling point (GST): "patient enough" means
+#: ``patience > GST + 10 Δ``.
 PATIENCE_ROUND_TRIPS = 10.0
 
 
@@ -183,23 +179,11 @@ def property_columns(
     }
 
 
-def definition1_violations(outcome: Any) -> List[str]:
-    """Violation strings for Definition 1 — an explorer ``check``."""
-    return [repr(v) for v in check_definition1(outcome).violations()]
-
-
-def definition2_violations(outcome: Any, patient: bool = True) -> List[str]:
-    """Violation strings for Definition 2 — an explorer ``check``."""
-    return [repr(v) for v in check_definition2(outcome, patient=patient).violations()]
-
-
 __all__ = [
     "DEFINITION_PROFILES",
     "DefinitionProfile",
     "PATIENCE_ROUND_TRIPS",
     "check_outcome",
-    "definition1_violations",
-    "definition2_violations",
     "definition_profile",
     "patience_is_sufficient",
     "property_columns",

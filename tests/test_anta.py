@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.anta.assembly import ANTANetwork
 from repro.anta.automaton import TimedAutomaton
 from repro.anta.render import render_spec, render_specs
 from repro.anta.transitions import (
@@ -262,27 +261,6 @@ class TestExecution:
 
 
 class TestAssemblyAndRender:
-    def test_assembly_tracks_termination(self):
-        sim, net = _world()
-        assembly = ANTANetwork(sim, net)
-        peer = Sink(sim, "peer")
-        net.register(peer)
-        auto = assembly.add(TimedAutomaton(sim, "echo", _echo_spec(), net))
-        assembly.start_all()
-        assert not assembly.all_terminated()
-        assert assembly.pending_automata() == ["echo"]
-        net.send(peer, "echo", MsgKind.MONEY, None)
-        sim.run()
-        assert assembly.all_terminated()
-
-    def test_duplicate_automaton_rejected(self):
-        sim, net = _world()
-        assembly = ANTANetwork(sim, net)
-        assembly.add(TimedAutomaton(sim, "echo", _echo_spec(), net))
-        sim2 = Simulator()
-        with pytest.raises(AutomatonError):
-            assembly.add(TimedAutomaton(sim, "echo", _echo_spec(), net))
-
     def test_render_mentions_states_and_transitions(self):
         text = render_spec(_echo_spec())
         assert "waiting" in text and "reply" in text and "done" in text

@@ -4,7 +4,9 @@ Three layers, mirroring the recovery stack:
 
 1. :class:`~repro.sim.decision_log.DecisionLog` unit + fuzz tests — the
    fsync-boundary model and the torn-tail salvage contract (the same
-   contract as ``scan_records`` in :mod:`repro.runtime.persist`).
+   contract as ``scan_records`` in :mod:`repro.runtime.persist`) — and
+   the write-ahead decision path every durable participant shares,
+   ``Process.send_decision`` / ``Process.replay``.
 2. The ``crash-restart`` adversary family — name parsing, registry
    resolution, victim targeting, capability gating via
    ``supports_recovery``.
@@ -39,8 +41,16 @@ from repro.scenarios.spec import (
     unsupported_adversary_reason,
 )
 from repro.scenarios.trial import scenario_trial
-from repro.sim.decision_log import CHECKPOINT, DECISION, DecisionLog, encode_record
+from repro.sim.decision_log import (
+    CHECKPOINT,
+    DECISION,
+    SENT,
+    DecisionLog,
+    encode_record,
+)
 from repro.sim.faults import CRASH_POINTS, CRASH_POINT_DOCS, FaultInjector
+from repro.sim.kernel import Simulator
+from repro.sim.process import Process
 
 PROTOCOLS = ("timebounded", "weak", "certified", "htlc")
 
@@ -66,7 +76,7 @@ def run_cell(
     )
 
 
-# -- 1. DecisionLog: fsync boundary and torn-tail salvage -----------------
+# -- 1. DecisionLog and the write-ahead decision path ---------------------
 
 
 class TestDecisionLog:
@@ -170,6 +180,116 @@ class TestDecisionLog:
             assert survivors == len(expected)
             assert log.records() == expected
             assert log.synced == survivors
+
+
+class StubNetwork:
+    """Records what a process transmits, in order."""
+
+    def __init__(self):
+        self.sent = []
+
+    def send(self, sender, to, kind, payload):
+        self.sent.append((to, kind, payload))
+
+
+class Decider(Process):
+    """A bare participant whose restore only replays its log."""
+
+    def __init__(self, sim):
+        super().__init__(sim, "e1")
+        self.network = StubNetwork()
+        self.replayed = None
+
+    def restore(self):
+        self.replayed = self.replay()
+
+
+SENDS = [("c2", "money", {"amount": 5}), ("c1", "secret", {"preimage": "x"})]
+
+
+def decider(point=None):
+    """A Decider, crashed at ``point`` by a real injector if given."""
+    sim = Simulator(seed=0)
+    process = Decider(sim)
+    if point is not None:
+        FaultInjector(process.name, point, 1.0).attach([process])
+    return sim, process
+
+
+def durable_kinds(process):
+    return [r["kind"] for r in process.decision_log.durable_records()]
+
+
+class TestWriteAheadDecisionPath:
+    def test_without_a_log_it_only_transmits(self):
+        _, process = decider()
+        assert process.send_decision(SENDS, outcome="claimed") is True
+        assert process.network.sent == SENDS
+        assert process.decision_log is None
+
+    def test_logged_decision_without_a_crash(self):
+        _, process = decider()
+        process.enable_durability()
+        assert process.send_decision(SENDS, outcome="claimed") is True
+        assert process.network.sent == SENDS
+        assert durable_kinds(process) == [DECISION, SENT]
+        decision = process.decision_log.durable_records()[0]
+        assert decision["sends"] == SENDS and decision["outcome"] == "claimed"
+
+    def test_crash_after_fsync_before_send(self):
+        _, process = decider("post-sign-pre-send")
+        assert process.send_decision(SENDS, outcome="claimed") is False
+        assert process.crashed
+        assert process.network.sent == []
+        assert durable_kinds(process) == [DECISION]
+
+    def test_crash_after_send(self):
+        _, process = decider("post-send")
+        assert process.send_decision(SENDS, outcome="claimed") is False
+        assert process.crashed
+        assert process.network.sent == SENDS
+        assert durable_kinds(process) == [DECISION, SENT]
+
+    @pytest.mark.parametrize("point", ["post-sign-pre-send", "post-send"])
+    def test_replay_retransmits_only_an_unsent_decision(self, point):
+        sim, process = decider(point)
+        process.checkpoint(lock_id="L")
+        process.send_decision(SENDS, outcome="claimed")
+        sim.run()  # the injector restores the process after its downtime
+        assert process.replayed is not None and not process.crashed
+        checkpoint, decision = process.replayed
+        assert checkpoint["lock_id"] == "L"
+        assert decision["outcome"] == "claimed"
+        # Sent exactly once overall: by the replay after the first
+        # crash, by the original transmission after the second.
+        assert process.network.sent == SENDS
+
+    def test_replay_of_checkpoints_only(self):
+        _, process = decider()
+        process.enable_durability()
+        process.checkpoint(state="a")
+        process.checkpoint(state="b")
+        checkpoint, decision = process.replay()
+        assert checkpoint["state"] == "b" and decision is None
+        assert process.network.sent == []
+
+    def test_replay_skips_a_decision_before_the_newest_checkpoint(self):
+        _, process = decider()
+        process.enable_durability()
+        process.send_decision(SENDS, outcome="claimed")
+        process.checkpoint(state="after")
+        assert process.replay() == ({"kind": CHECKPOINT, "state": "after"}, None)
+        assert process.network.sent == SENDS  # the original send only
+
+    def test_reach_crash_point_is_true_only_at_the_injectors_point(self):
+        _, bare = decider()
+        assert [bare.reach_crash_point(p) for p in CRASH_POINTS] == [False] * 3
+        _, victim = decider("post-send")
+        assert [victim.reach_crash_point(p) for p in CRASH_POINTS] == [
+            False,
+            False,
+            True,
+        ]
 
 
 # -- 2. The crash-restart adversary family --------------------------------
