@@ -24,22 +24,23 @@ subsets of a store, so filtering and grouping never copy column data.
 >>> store = RecordStore.load(out_dir)            # a --out directory
 >>> store.column("protocol")[:2]
 ['htlc', 'htlc']
->>> store.distinct("timing_name")
-['sync', 'partial']
 """
 
 from __future__ import annotations
 
-import json
 from array import array
+from itertools import chain
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union,
+)
 
 from ..errors import PersistenceError
 from ..runtime.aggregate import TrialRecord
 from ..runtime.persist import (
     _RESERVED_COLUMNS,
-    _is_scalar,
+    column_names,
+    flat_cell,
     iter_records,
     read_manifest,
     scan_records,
@@ -50,6 +51,52 @@ from ..runtime.persist import (
 #: and prefix identically in both views) plus ``ok``, which only the
 #: store materialises as a column.
 _STORE_RESERVED = _RESERVED_COLUMNS + ("ok",)
+
+
+#: Plans :meth:`RecordStore.from_records` keeps at once; past this
+#: many key shapes it starts over, so churning shapes cost a rebuilt
+#: plan each, never unbounded memory.
+_MAX_PLANS = 1024
+
+
+class _Plan:
+    """How :meth:`RecordStore.from_records` files one record key shape.
+
+    ``appends`` holds, per key of the shape (options, then values), the
+    ``append`` of its column, or ``None`` when the projection drops the
+    column; ``pads`` the appends of the columns the shape lacks.
+    Building a plan creates the shape's new columns, padded with
+    ``None`` for the ``rows`` already transposed; a new column leaves
+    every older plan without its pad.
+    """
+
+    __slots__ = ("appends", "pads")
+
+    def __init__(
+        self,
+        names: Tuple[str, ...],
+        cells: Dict[str, List[Any]],
+        column_appends: Dict[str, Callable[[Any], None]],
+        offered: Dict[str, None],
+        wanted: Optional[Set[str]],
+        rows: int,
+    ) -> None:
+        self.appends: List[Optional[Callable[[Any], None]]] = []
+        for name in names:
+            offered.setdefault(name)
+            if wanted is not None and name not in wanted:
+                self.appends.append(None)
+                continue
+            if name not in column_appends:
+                cells[name] = [None] * rows
+                column_appends[name] = cells[name].append
+            self.appends.append(column_appends[name])
+        kept = set(names)
+        self.pads = [
+            append
+            for name, append in column_appends.items()
+            if name not in kept
+        ]
 
 
 class Column:
@@ -69,8 +116,9 @@ class Column:
 
     def __init__(self, name: str, values: Sequence[Any]) -> None:
         self.name = name
-        kinds = {type(v) for v in values if v is not None}
-        has_none = any(v is None for v in values)
+        kinds = set(map(type, values))
+        has_none = type(None) in kinds
+        kinds.discard(type(None))
         if kinds == {float}:
             self.kind = "float"
             self.data: Sequence[Any] = (
@@ -159,9 +207,10 @@ class RecordStore:
         """Transpose records into columns (missing cells become None).
 
         Non-scalar options/values (timing descriptors, option dicts)
-        are embedded as compact JSON strings, mirroring the CSV view;
-        every failed trial contributes ``None`` to each value column
-        and its traceback to the ``error`` column.
+        are embedded as JSON strings, mirroring the CSV view
+        (:func:`~repro.runtime.persist.flat_cell`); every failed trial
+        contributes ``None`` to each value column and its traceback to
+        the ``error`` column.
 
         ``records`` may be any iterable — the transpose is a single
         pass, so feeding it a streaming reader (e.g.
@@ -169,59 +218,60 @@ class RecordStore:
         never materialises the whole record list.  ``columns`` projects
         the store onto just those option/value columns; the bookkeeping
         columns (``seed``, ``wall_seconds``, ``ok``, ``error``) always
-        materialise, and a requested column no record carries raises,
-        naming what the records actually offered.
+        materialise, so requesting one is allowed, and a requested
+        column no record carries raises, naming what the records
+        actually offered.
         """
         wanted = None if columns is None else set(columns)
-        names: List[str] = []  # column order: first-seen
-        cells: Dict[str, List[Any]] = {}
-        offered: List[str] = []  # all projectable columns encountered
+        cells: Dict[str, List[Any]] = {}  # column order: first-seen
+        column_appends: Dict[str, Callable[[Any], None]] = {}
+        offered: Dict[str, None] = {}  # every projectable column seen
+        plans: Dict[Tuple[Tuple[str, ...], Tuple[str, ...]], _Plan] = {}
         seeds: List[int] = []
         walls: List[float] = []
         oks: List[bool] = []
         errors: List[Optional[str]] = []
         row = 0
-
-        def put(row: int, key: str, value: Any) -> None:
-            if key not in cells:
-                if key not in offered:
-                    offered.append(key)
-                if wanted is not None and key not in wanted:
-                    return
-                names.append(key)
-                cells[key] = [None] * row
-            cells[key].append(value if _is_scalar(value) else json.dumps(value))
-
         for record in records:
-            taken = set(_STORE_RESERVED)
-            for key, value in record.spec.options.items():
-                column = key if key not in taken else f"option_{key}"
-                taken.add(column)
-                put(row, column, value)
-            for key, value in record.values.items():
-                column = key if key not in taken else f"value_{key}"
-                taken.add(column)
-                put(row, column, value)
-            for name in names:  # pad columns this record did not touch
-                if len(cells[name]) == row:
-                    cells[name].append(None)
+            options, values = record.spec.options, record.values
+            shape = (tuple(options), tuple(values))
+            plan = plans.get(shape)
+            if plan is None:
+                width = len(cells)
+                plan = _Plan(
+                    column_names(*shape, _STORE_RESERVED),
+                    cells, column_appends, offered, wanted, row,
+                )
+                if len(cells) != width or len(plans) == _MAX_PLANS:
+                    plans.clear()
+                plans[shape] = plan
+            for append, value in zip(
+                plan.appends, chain(options.values(), values.values())
+            ):
+                if append is not None:
+                    append(flat_cell(value))
+            for pad in plan.pads:
+                pad(None)
             seeds.append(record.spec.seed)
             walls.append(float(record.wall_seconds))
             oks.append(record.ok)
             errors.append(record.error)
             row += 1
+        bookkeeping = {
+            "seed": seeds, "wall_seconds": walls, "ok": oks, "error": errors,
+        }
         if wanted is not None:
-            missing = sorted(wanted - set(names))
+            missing = sorted(wanted.difference(cells, bookkeeping))
             if missing:
                 raise PersistenceError(
                     f"no such column(s) {', '.join(missing)} in "
-                    f"{source or 'records'}; available: {', '.join(offered)}"
+                    f"{source or 'records'}; available: "
+                    f"{', '.join([*offered, *bookkeeping])}"
                 )
-        store_columns = {name: Column(name, cells[name]) for name in names}
-        store_columns["seed"] = Column("seed", seeds)
-        store_columns["wall_seconds"] = Column("wall_seconds", walls)
-        store_columns["ok"] = Column("ok", oks)
-        store_columns["error"] = Column("error", errors)
+        store_columns = {
+            name: Column(name, data)
+            for name, data in chain(cells.items(), bookkeeping.items())
+        }
         return cls(store_columns, row, sweep_id=sweep_id, source=source)
 
     @classmethod
@@ -241,8 +291,9 @@ class RecordStore:
         objects.  ``partial=True`` instead salvages whatever complete
         records ``records.jsonl`` holds, manifest or not — the
         read-only lens on an interrupted campaign.  ``columns``
-        projects the store (see :meth:`from_records`): a large
-        directory queried for two columns pays for two columns.
+        projects the store (see :meth:`from_records`): it saves the
+        transposition and the memory of the other columns, not the
+        parse — every ``records.jsonl`` line is still decoded in full.
         """
         in_dir = Path(in_dir)
         if partial:
@@ -281,18 +332,6 @@ class RecordStore:
             raise KeyError(
                 f"no column {name!r}; available: {', '.join(self.columns)}"
             ) from None
-
-    def row(self, index: int) -> Dict[str, Any]:
-        """One record's cells as a dict (debugging / JSON export)."""
-        return {name: col[index] for name, col in self.columns.items()}
-
-    def distinct(self, name: str) -> List[Any]:
-        """Ordered distinct values of a column (first-seen order)."""
-        seen: List[Any] = []
-        for value in self.column(name):
-            if value not in seen:
-                seen.append(value)
-        return seen
 
     def where(
         self, match: Dict[str, Any], indices: Optional[Sequence[int]] = None

@@ -100,9 +100,5 @@ class SweepResult:
         """One value per record (raises TrialError on failed trials)."""
         return [r[key] for r in self.records]
 
-    def trial_wall_seconds(self) -> float:
-        """Sum of per-trial wall clocks (serial-equivalent work)."""
-        return sum(r.wall_seconds for r in self.records)
-
 
 __all__ = ["SweepResult", "TrialError", "TrialRecord"]

@@ -43,8 +43,10 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, IO, Iterator, List, Optional, Tuple, Union
 
 from ..errors import PersistenceError
 from .aggregate import SweepResult, TrialRecord
@@ -101,8 +103,34 @@ def record_from_dict(data: Dict[str, Any]) -> TrialRecord:
         raise PersistenceError(f"malformed persisted record: {exc!r}") from None
 
 
-def _is_scalar(value: Any) -> bool:
-    return value is None or isinstance(value, (bool, int, float, str))
+#: The one encoder of ``records.jsonl`` lines.  ``encode`` on a
+#: prebuilt encoder runs CPython's C encoder; ``json.dump`` to a file
+#: streams through the pure-Python ``iterencode`` instead.
+_LINE_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
+def encode_record(record: TrialRecord) -> str:
+    """One ``records.jsonl`` line for ``record``, newline included.
+
+    The encoder escapes every non-ASCII character, so the line's length
+    in characters is its length in bytes on disk.
+    """
+    return _LINE_ENCODER.encode(record_to_dict(record)) + "\n"
+
+
+_SCALAR_TYPES = frozenset((str, int, float, bool, type(None)))
+
+
+def flat_cell(value: Any) -> Any:
+    """A cell of the flat views: a scalar as-is, anything else as JSON text.
+
+    The exact-type lookup settles the common case; subclasses of the
+    scalar types (an ``IntEnum``, a ``str`` subclass) still count as
+    scalars through the ``isinstance`` check.
+    """
+    if type(value) in _SCALAR_TYPES or isinstance(value, (int, float, str)):
+        return value
+    return json.dumps(value)
 
 
 #: Columns the writer itself owns; option/value keys with these names
@@ -110,24 +138,43 @@ def _is_scalar(value: Any) -> bool:
 _RESERVED_COLUMNS = ("seed", "wall_seconds", "error")
 
 
+@lru_cache(maxsize=1024)
+def column_names(
+    option_keys: Tuple[str, ...],
+    value_keys: Tuple[str, ...],
+    reserved: Tuple[str, ...],
+) -> Tuple[str, ...]:
+    """The flat column of each option key, then of each value key.
+
+    An option key colliding with a ``reserved`` column gets an
+    ``option_`` prefix; a value key colliding with anything placed
+    before it gets a ``value_`` prefix.  Cached per key shape: the
+    campaign and workload directories the CLI writes hold one or two
+    (error rows, whose values are empty, add one); see
+    ``docs/ARCHITECTURE.md`` § Performance notes.
+    """
+    taken = set(reserved)
+    names = []
+    for prefix, keys in (("option_", option_keys), ("value_", value_keys)):
+        for key in keys:
+            column = key if key not in taken else f"{prefix}{key}"
+            taken.add(column)
+            names.append(column)
+    return tuple(names)
+
+
 def flatten_record(record: TrialRecord) -> Dict[str, Any]:
     """One flat CSV row: scalar columns as-is, the rest as JSON cells.
 
-    Option keys colliding with the writer's own columns get an
-    ``option_`` prefix; value keys colliding with anything placed
-    before them get a ``value_`` prefix — the JSONL keeps the
-    originals either way.
+    Columns are named by :func:`column_names` against the writer's own
+    columns — the JSONL keeps the original keys either way.
     """
+    options, values = record.spec.options, record.values
+    columns = column_names(tuple(options), tuple(values), _RESERVED_COLUMNS)
     flat: Dict[str, Any] = {"seed": record.spec.seed}
-    taken = set(_RESERVED_COLUMNS)
-    for key, value in record.spec.options.items():
-        column = key if key not in taken else f"option_{key}"
-        taken.add(column)
-        flat[column] = value if _is_scalar(value) else json.dumps(value)
-    for key, value in record.values.items():
-        column = key if key not in taken else f"value_{key}"
-        taken.add(column)
-        flat[column] = value if _is_scalar(value) else json.dumps(value)
+    flat.update(
+        zip(columns, map(flat_cell, chain(options.values(), values.values())))
+    )
     flat["wall_seconds"] = record.wall_seconds
     flat["error"] = record.error or ""
     return flat
@@ -290,7 +337,9 @@ class RecordWriter:
         except OSError:
             self._jsonl.close()
             raise
-        self._csv: Optional[csv.DictWriter] = None
+        self._csv = csv.writer(self._csv_file)
+        #: The CSV header, once the first successful record fixed it.
+        self._csv_fields: Optional[List[str]] = None
         self._csv_pending: List[Dict[str, Any]] = []
         self._closed = False
         if resume_from is not None:
@@ -302,19 +351,18 @@ class RecordWriter:
         if self._closed:
             raise PersistenceError(f"RecordWriter({self.out_dir}) is closed")
         assert self._jsonl is not None
-        json.dump(record_to_dict(record), self._jsonl, separators=(",", ":"))
-        self._jsonl.write("\n")
+        self._jsonl.write(encode_record(record))
         self._write_csv(flatten_record(record), record.ok)
         self.count += 1
 
     def _write_csv(self, flat: Dict[str, Any], ok: bool) -> None:
-        if self._csv is not None:
-            self._csv.writerow(flat)
+        if self._csv_fields is not None:
+            self._write_csv_row(flat)
         elif ok:
             # First successful record: its columns become the header;
             # flush anything buffered before it, then the record.
             self._start_csv(flat)
-            self._csv.writerow(flat)
+            self._write_csv_row(flat)
         else:
             # Error records carry no value columns — hold them back so
             # they cannot truncate the header and silently drop every
@@ -323,24 +371,22 @@ class RecordWriter:
             # memory cost paid only by runs that fail from the start.
             self._csv_pending.append(flat)
 
+    def _write_csv_row(self, flat: Dict[str, Any]) -> None:
+        # Header order; a missing cell is blank and an extra key ignored.
+        self._csv.writerow(map(flat.get, self._csv_fields, repeat("")))
+
     def _start_csv(self, header_row: Dict[str, Any]) -> None:
-        assert self._csv_file is not None
-        fieldnames = list(header_row)
+        fields = list(header_row)
         for pending in self._csv_pending:
-            fieldnames.extend(k for k in pending if k not in fieldnames)
-        self._csv = csv.DictWriter(
-            self._csv_file,
-            fieldnames=fieldnames,
-            restval="",
-            extrasaction="ignore",
-        )
-        self._csv.writeheader()
+            fields.extend(k for k in pending if k not in fields)
+        self._csv_fields = fields
+        self._csv.writerow(fields)
         for pending in self._csv_pending:
-            self._csv.writerow(pending)
+            self._write_csv_row(pending)
         self._csv_pending = []
 
     def _release_files(self) -> None:
-        if self._csv is None and self._csv_pending:
+        if self._csv_fields is None and self._csv_pending:
             # Every record errored; emit the CSV from what there is.
             self._start_csv(self._csv_pending[0])
         if self._jsonl is not None:
@@ -508,6 +554,9 @@ __all__ = [
     "SCHEMA_VERSION",
     "STREAM_CHUNK",
     "ScanResult",
+    "column_names",
+    "encode_record",
+    "flat_cell",
     "flatten_record",
     "iter_records",
     "load_sweep_result",

@@ -31,7 +31,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import ScenarioError, WorkloadError
 from ..runtime.aggregate import TrialRecord
-from ..runtime.persist import record_to_dict
+from ..runtime.persist import encode_record
 from ..runtime.spec import SweepSpec, TrialSpec, derive_seed
 from .arrivals import ARRIVAL_PROCESSES
 
@@ -316,16 +316,13 @@ class WorkloadDiff:
 
 
 def records_byte_length(records: Sequence[TrialRecord]) -> int:
-    """On-disk length of ``records`` as the writer would serialize them.
+    """On-disk length of ``records`` as the writer serializes them.
 
-    ``record_to_dict`` has a fixed key order and the writer uses
-    compact separators with default ASCII escaping, so re-encoding
-    reproduces the persisted bytes exactly.
+    Each line comes from the writer's own encoder
+    (:func:`~repro.runtime.persist.encode_record`), whose ASCII-only
+    lines are as long in bytes as in characters.
     """
-    return sum(
-        len(json.dumps(record_to_dict(record), separators=(",", ":")) + "\n")
-        for record in records
-    )
+    return sum(len(encode_record(record)) for record in records)
 
 
 def cell_fingerprints(sweep: SweepSpec) -> Dict[str, str]:

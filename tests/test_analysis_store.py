@@ -642,6 +642,24 @@ class TestColumnProjection:
         with pytest.raises(PersistenceError, match="nope.*available"):
             RecordStore.load(out, columns=["protocol", "nope"])
 
+    @pytest.mark.parametrize("bookkeeping", ["seed", "ok", "error"])
+    def test_projection_onto_a_bookkeeping_column(self, tmp_path, bookkeeping):
+        """Bookkeeping columns always materialise, so naming one in a
+        projection is no error, in memory or from a directory."""
+        out, result = _persisted(tmp_path)
+        wanted = ["protocol", bookkeeping]
+        for slim in (
+            RecordStore.from_records(result.records, columns=wanted),
+            RecordStore.load(out, columns=wanted),
+        ):
+            assert slim.column_names() == [
+                "protocol", "seed", "wall_seconds", "ok", "error"
+            ]
+        with pytest.raises(
+            PersistenceError, match="available: .*, seed, wall_seconds, ok, error$"
+        ):
+            RecordStore.load(out, columns=[bookkeeping, "nope"])
+
     def test_partial_load_supports_projection(self, tmp_path):
         out, _ = _persisted(tmp_path)
         (out / MANIFEST_JSON).unlink()

@@ -24,16 +24,22 @@ module is that promise as tests:
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.analysis import RecordStore, analyze_store
 from repro.core.session import PaymentSession
 from repro.errors import ExperimentError, InsufficientFunds, WorkloadError
 from repro.net.timing import Synchronous
-from repro.runtime import SerialExecutor, load_sweep_result, resolve_executor
-from repro.runtime.persist import record_to_dict
+from repro.runtime import (
+    RecordWriter,
+    SerialExecutor,
+    TrialRecord,
+    TrialSpec,
+    load_sweep_result,
+    resolve_executor,
+    scan_records,
+)
+from repro.runtime.persist import RECORDS_JSONL, encode_record, record_to_dict
 from repro.runtime.spec import derive_seed
 from repro.scenarios.registry import make_adversary
 from repro.scenarios.trial import _topology_for
@@ -50,7 +56,7 @@ from repro.workload import (
     workload_payment,
 )
 from repro.workload.cli import _cell_stats, workload_main
-from repro.workload.spec import cell_fingerprints
+from repro.workload.spec import cell_fingerprints, records_byte_length
 
 PROTOCOLS = ("timebounded", "htlc", "weak", "certified")
 
@@ -284,10 +290,7 @@ def test_resumed_bytes_equal_fresh_bytes():
     ]
 
     def encode(records):
-        return "".join(
-            json.dumps(record_to_dict(r), separators=(",", ":")) + "\n"
-            for r in records
-        ).encode("utf-8")
+        return "".join(map(encode_record, records)).encode("utf-8")
 
     diff = diff_workload(sweep, expanded[: spec.count])
     assert diff.kept_bytes == len(encode(diff.kept))
@@ -297,6 +300,38 @@ def test_resumed_bytes_equal_fresh_bytes():
         for record in expand_cell_record(cell_record)
     ]
     assert encode(diff.kept + rerun) == encode(expanded)
+
+
+def test_records_byte_length_equals_the_written_file(tmp_path):
+    """The resume arithmetic measures the bytes the writer wrote, for
+    every kind of line: escaped non-ASCII, NaN/inf, nested values and
+    error records."""
+    records = [
+        TrialRecord(
+            spec=TrialSpec(fn="m:f", coords=("α", 0), seed=1,
+                           options={"name": "Zürich → 東京", "rho": 0.25}),
+            values={"latency": float("inf"), "gap": float("nan"),
+                    "low": float("-inf"), "nested": {"a": [1, {"b": "ß"}]},
+                    "emoji": "\U0001f600"},
+            wall_seconds=0.125,
+        ),
+        TrialRecord(
+            spec=TrialSpec(fn="m:f", coords=("β", 1), seed=2,
+                           options={"timing": ["partial", 10.0]}),
+            error="Traceback (most recent call last): ✗",
+        ),
+        TrialRecord(
+            spec=TrialSpec(fn="m:f", coords=(2,), seed=2**62),
+            values={"n": -0.0, "big": 2**70, "none": None},
+        ),
+    ]
+    with RecordWriter(tmp_path / "out") as writer:
+        for record in records:
+            writer.write(record)
+    scan = scan_records(tmp_path / "out")
+    size = (tmp_path / "out" / RECORDS_JSONL).stat().st_size
+    assert len(scan.records) == len(records)
+    assert records_byte_length(scan.records) == size == scan.jsonl_bytes
 
 
 def test_resume_refuses_cells_built_with_other_options():
