@@ -302,10 +302,6 @@ class TimedAutomaton(Process):
 
     # -- introspection -------------------------------------------------------------
 
-    def buffered_count(self) -> int:
-        """Messages received but not yet consumed."""
-        return len(self._buffer)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TimedAutomaton({self.name!r}, state={self.state!r})"
 

@@ -69,10 +69,6 @@ class DriftingClock:
 
     # -- drift algebra -----------------------------------------------------
 
-    def drift_from_nominal(self) -> float:
-        """``|rate - 1|`` — the clock's actual drift magnitude."""
-        return abs(self.rate - 1.0)
-
     def within_bound(self, rho: float) -> bool:
         """Whether this clock respects a drift bound ``rho``."""
         return (1.0 - rho) <= self.rate <= (1.0 + rho)

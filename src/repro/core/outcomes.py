@@ -177,13 +177,6 @@ class PaymentOutcome:
             self.in_success_position(sink) for sink in self.topology.sinks()
         )
 
-    @property
-    def alice_paid_out(self) -> bool:
-        """Did every source's money leave her accounts for good?"""
-        return all(
-            self.in_success_position(src) for src in self.topology.sources()
-        )
-
     # -- certificates -----------------------------------------------------------------
 
     def chi_issued(self, by: Optional[str] = None) -> bool:

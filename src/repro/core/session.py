@@ -36,6 +36,7 @@ from ..net.adversary import Adversary
 from ..net.network import Network
 from ..net.timing import TimingModel
 from ..sim.kernel import Simulator
+from ..sim.process import run_to_completion
 from ..sim.trace import TraceRecorder
 from ..sim.view import SessionView
 from .outcomes import BalanceSnapshot, PaymentOutcome, snapshot_balances
@@ -328,8 +329,8 @@ class PaymentSession:
 
         No events have been executed when this returns — the protocol's
         initial events sit in the (possibly shared) kernel's queue.
-        Returns the protocol's participant processes, which the caller
-        watches for termination (``Process.terminated`` is monotone).
+        Returns the protocol's participant processes, the ones that
+        gate the session's completion :class:`~repro.sim.process.Latch`.
         """
         env = self._build_env()
         self.env = env
@@ -386,20 +387,7 @@ class PaymentSession:
     def run(self) -> PaymentOutcome:
         """Execute the payment and return its outcome (solo kernel)."""
         participants = self.launch()
-        env = self.env
-        # Amortized termination check: `Process.terminated` is monotone
-        # (it never flips back), so popping finished participants off a
-        # pending list makes the per-event stop check O(1) amortized
-        # instead of re-scanning every participant after every event.
-        pending = list(participants)
-
-        def all_terminated(sim: Simulator) -> bool:
-            while pending and pending[-1].terminated:
-                pending.pop()
-            return not pending
-
-        env.sim.add_stop_condition(all_terminated)
-        env.sim.run(until=self.horizon)
+        run_to_completion(self.env.sim, participants, self.horizon)
         return self.collect()
 
 

@@ -312,18 +312,6 @@ class PaymentGraph:
         except KeyError:
             raise ProtocolError(f"not a customer name: {customer!r}") from None
 
-    def upstream_customer(self, escrow_index: int) -> str:
-        """The customer funding escrow ``i``'s hop."""
-        if not (0 <= escrow_index < self.n_escrows):
-            raise ProtocolError(f"escrow index {escrow_index} out of range")
-        return self.edges[escrow_index].upstream
-
-    def downstream_customer(self, escrow_index: int) -> str:
-        """The customer escrow ``i``'s hop pays."""
-        if not (0 <= escrow_index < self.n_escrows):
-            raise ProtocolError(f"escrow index {escrow_index} out of range")
-        return self.edges[escrow_index].downstream
-
     def escrows_of_customer(self, customer) -> List[str]:
         """The escrow(s) a customer holds accounts at and trusts.
 

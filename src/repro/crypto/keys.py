@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, Iterable, List
+from typing import Dict, List
 
 from ..errors import CryptoError
 
@@ -70,10 +70,6 @@ class KeyRing:
         identity = Identity(name=name, secret=_derive_secret(name, self.domain))
         self._identities[name] = identity
         return identity
-
-    def create_all(self, names: Iterable[str]) -> List[Identity]:
-        """Create identities for several names."""
-        return [self.create(name) for name in names]
 
     def secret_of(self, name: str) -> bytes:
         """Secret lookup used *only* by the verifier.

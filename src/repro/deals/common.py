@@ -21,7 +21,7 @@ from ..net.adversary import Adversary
 from ..net.network import Network
 from ..net.timing import TimingModel
 from ..sim.kernel import Simulator
-from ..sim.process import Process
+from ..sim.process import Process, run_to_completion
 from .matrix import DealMatrix
 from .payoff import acceptable, classify
 
@@ -164,10 +164,7 @@ class DealSession:
             process.start()
         # Infrastructure (chains, observers) runs forever; only parties
         # and arc escrows gate completion.
-        env.sim.add_stop_condition(
-            lambda sim: all(p.terminated for p in parties + escrows)
-        )
-        env.sim.run(until=self.horizon)
+        run_to_completion(env.sim, parties + escrows, self.horizon)
         return self._collect(env, parties, escrows)
 
     def _collect(

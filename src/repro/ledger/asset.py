@@ -78,10 +78,6 @@ class Amount:
         return Amount(self.asset, (self.units * numerator) // denominator)
 
     @property
-    def is_zero(self) -> bool:
-        return self.units == 0
-
-    @property
     def is_positive(self) -> bool:
         return self.units > 0
 

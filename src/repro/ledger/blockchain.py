@@ -294,13 +294,6 @@ class SimpleChain(Process):
         park = self._park
         return self._height + (park.firings if park is not None else 0)
 
-    def time_to_finality(self) -> float:
-        """Worst-case delay from submission to finality.
-
-        mempool wait (≤ 1 interval) + ``confirmations`` intervals.
-        """
-        return (1 + self.confirmations) * self.block_interval
-
 
 __all__ = [
     "Block",

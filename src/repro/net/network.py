@@ -121,11 +121,6 @@ class Network:
         self._processes[process.name] = process
         return process
 
-    def register_all(self, processes: List[Process]) -> None:
-        """Register several processes at once."""
-        for process in processes:
-            self.register(process)
-
     def process(self, name: str) -> Process:
         """Look up a registered process by name."""
         try:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from ..core.outcomes import PaymentOutcome
 from ..core.problem import PropertyId
@@ -88,9 +88,6 @@ class CheckReport:
     def all_ok(self) -> bool:
         """No property was violated."""
         return not self.violations()
-
-    def by_property(self) -> Dict[PropertyId, Verdict]:
-        return {v.property_id: v for v in self.verdicts}
 
     def status_of(self, prop: PropertyId) -> Optional[Status]:
         for v in self.verdicts:

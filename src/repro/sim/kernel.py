@@ -39,12 +39,15 @@ from heapq import (
     heappush as _heappush,
     heapreplace as _heapreplace,
 )
-from typing import Any, Callable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Tuple
 
 from ..errors import SchedulingError, SimulationError
 from .events import Event, EventPriority, _next_seq
 from .rng import RngRegistry
 from .trace import TraceRecorder
+
+if TYPE_CHECKING:
+    from .process import Latch
 
 #: Default scheduling priority as a plain ``int``: keeping the enum
 #: out of the default argument means the hot path never pays the
@@ -119,7 +122,7 @@ class Simulator:
         "_executed",
         "rng",
         "trace",
-        "_stop_conditions",
+        "latch",
     )
 
     def __init__(self, seed: int = 0, trace: Optional[TraceRecorder] = None) -> None:
@@ -137,7 +140,10 @@ class Simulator:
         self._executed = 0
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceRecorder()
-        self._stop_conditions: List[Callable[["Simulator"], bool]] = []
+        #: The running session's completion latch, read by
+        #: :meth:`~repro.sim.process.Process.terminate` (``None``: no
+        #: process gates this simulator's run).
+        self.latch: Optional["Latch"] = None
 
     # -- time ----------------------------------------------------------
 
@@ -150,10 +156,10 @@ class Simulator:
     def executed_events(self) -> int:
         """Number of events fired so far.
 
-        Maintained incrementally, so a callback running *inside* an
-        event (a stop condition, a workload session finalizer) reads a
-        count that already includes the current event — what per-session
-        event accounting on a shared kernel relies on.
+        Maintained incrementally, so code reading it inside an event,
+        or right after a run that ``stop()`` ended, sees a count that
+        already includes that event — what per-session event accounting
+        on a shared kernel relies on.
         """
         return self._executed
 
@@ -261,11 +267,12 @@ class Simulator:
 
         The event keeps its place in the heap.  Each time it reaches
         the head it fires as an executed event in every respect (the
-        clock, :attr:`executed_events`, :meth:`run`'s count and budget,
-        the stop conditions), but instead of calling back the kernel
-        re-arms it ``interval`` later with a fresh ``seq`` — the order
-        a callback re-arming the same timer would produce.  Cancelling
-        a parked event works as for any other.
+        clock, :attr:`executed_events`, :meth:`run`'s count and
+        budget), but instead of calling back the kernel re-arms it
+        ``interval`` later with a fresh ``seq`` — the order a callback
+        re-arming the same timer would produce.  It calls nothing, so
+        it cannot terminate a process or stop the run.  Cancelling a
+        parked event works as for any other.
 
         Raises
         ------
@@ -282,18 +289,12 @@ class Simulator:
         event.args = (park,)
         return park
 
-    # -- stop conditions -------------------------------------------------
-
-    def add_stop_condition(self, predicate: Callable[["Simulator"], bool]) -> None:
-        """Stop the run loop as soon as ``predicate(self)`` is true.
-
-        Conditions are evaluated after every executed event, a parked
-        event's in-place firing and a :meth:`step` included.
-        """
-        self._stop_conditions.append(predicate)
-
     def stop(self) -> None:
-        """Request the run loop to halt after the current event."""
+        """Request the run loop to halt after the current event.
+
+        The request holds for the current :meth:`run` only: the next
+        call clears it, so a stop requested outside a run is dropped.
+        """
         self._stopped = True
 
     # -- execution -------------------------------------------------------
@@ -301,9 +302,8 @@ class Simulator:
     def step(self) -> bool:
         """Execute exactly one event: ``run(max_events=1)``.
 
-        The stop conditions run after the event, as after any other,
-        and like :meth:`run` a step cannot be taken from inside a
-        running callback.
+        Like :meth:`run`, a step cannot be taken from inside a running
+        callback.
 
         Returns
         -------
@@ -328,8 +328,8 @@ class Simulator:
             ``until`` whenever the horizon is the binding constraint —
             including when the heap is empty or drains before the
             horizon — so latency read from :attr:`now` is never short
-            of the simulated span.  (A ``stop()`` request or a stop
-            condition leaves the clock at the last executed event.)
+            of the simulated span.  (A ``stop()`` request leaves the
+            clock at the last executed event.)
         max_events:
             Upper bound on events executed in this call (safety valve
             against livelock in adversarial scenarios).  Unlike
@@ -340,18 +340,17 @@ class Simulator:
         -------
         int
             Number of events executed by this call.  A parked event's
-            in-place firing is an executed event: it moves the clock,
+            in-place firing is an executed event: it moves the clock and
             counts here, against ``max_events`` and in
-            :attr:`executed_events`, and is followed by the stop
-            conditions like any other.
+            :attr:`executed_events` like any other.
         """
         if self._running:
             raise SimulationError("Simulator.run is not re-entrant")
         self._running = True
         self._stopped = False
-        # Hot loop: one head access per event, the heap, the slab and
-        # the condition list hoisted out of the loop.  This is the only
-        # code that pops the heap.  A cancelled head is discarded
+        # Hot loop: one head access per event, the heap and the slab
+        # hoisted out of the loop.  This is the only code that pops
+        # the heap.  A cancelled head is discarded
         # lazily; no fired event is ever in the heap, because `fired`
         # is set only after the pop (and before the callback, so an
         # event whose callback raises is spent all the same).  Event
@@ -381,14 +380,13 @@ class Simulator:
         next_seq = _next_seq
         parked = _parked
         getrefcount = _getrefcount
-        conditions = self._stop_conditions
         executed = 0
         horizon = until if until is not None else _INF
         budget = max_events if max_events is not None else _INF
         # Whether the loop ended because no due event remained (heap
         # drained or horizon passed) — the only exits on which the
-        # horizon may bind the clock.  stop(), stop conditions, and
-        # the event budget leave the clock at the last executed event.
+        # horizon may bind the clock.  stop() and the event budget
+        # leave the clock at the last executed event.
         exhausted = False
         try:
             while not self._stopped and executed < budget:
@@ -426,14 +424,6 @@ class Simulator:
                         event.fn = None
                         event.args = None
                         free_append(event)
-                if conditions:
-                    stop = False
-                    for condition in conditions:
-                        if condition(self):
-                            stop = True
-                            break
-                    if stop:
-                        break
         finally:
             self._running = False
         if exhausted and until is not None and until > self._now:
@@ -448,7 +438,7 @@ class Simulator:
         """Return the simulator to a freshly constructed state.
 
         The arena lifecycle: one simulator serves many trials.  The
-        clock, executed-event count, stop conditions, and stop flag are
+        clock, executed-event count, completion latch, and stop flag are
         cleared; the random registry is rebuilt from ``seed`` and the
         trace replaced (a fresh full recorder when ``trace`` is
         omitted) — exactly the state ``__init__`` would produce.
@@ -470,7 +460,7 @@ class Simulator:
         self._executed = 0
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceRecorder()
-        self._stop_conditions.clear()
+        self.latch = None
 
     # -- introspection ----------------------------------------------------
 

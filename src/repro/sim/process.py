@@ -7,7 +7,9 @@ It offers
 * ``handle_message(msg)`` — the network delivers here;
 * ``set_timer`` / ``cancel_timer`` — named timers in *global* time
   (clock-local timers are layered on top by :mod:`repro.anta`);
-* a ``terminated`` flag plus trace integration;
+* a ``terminated`` flag plus trace integration, and the session's
+  completion :class:`Latch`, which counts gating processes as they
+  terminate;
 * a crash–recovery lifecycle (``crash()`` / ``recover()`` with
   ``checkpoint()`` / ``restore()`` hooks) driven by an attached
   :class:`~repro.sim.faults.FaultInjector`.  A process without an
@@ -23,7 +25,7 @@ the simulation is sequential and deterministic.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
 from ..errors import SimulationError
 from .decision_log import CHECKPOINT, DECISION, SENT, DecisionLog
@@ -145,11 +147,6 @@ class Process:
         for timer_id in list(self._timers):
             self.cancel_timer(timer_id)
 
-    def timer_pending(self, timer_id: str) -> bool:
-        """Whether the named timer is armed."""
-        event = self._timers.get(timer_id)
-        return event is not None and event.alive
-
     def _fire_timer(self, timer_id: str) -> None:
         self._timers.pop(timer_id, None)
         if not self.terminated and not self.crashed:
@@ -166,16 +163,19 @@ class Process:
     def terminate(self, reason: str = "") -> None:
         """Mark the process terminated and cancel its timers.
 
-        Termination is recorded in the trace; repeated calls are
-        ignored so protocol code can call it defensively.
+        Termination is recorded in the trace and counted on the
+        simulator's completion :class:`Latch`, if one is set; repeated
+        calls are ignored so protocol code can call it defensively.
         """
         if self.terminated:
             return
         self.terminated = True
         self.cancel_all_timers()
-        self.sim.trace.record(
-            self.sim.now, _TERMINATE, self.name, reason=reason
-        )
+        sim = self.sim
+        sim.trace.record(sim.now, _TERMINATE, self.name, reason=reason)
+        latch = sim.latch
+        if latch is not None:
+            latch.count(self)
 
     # -- crash / recovery --------------------------------------------------
 
@@ -205,8 +205,9 @@ class Process:
         durable prefix.  The process stays registered (it will return)
         but handles no messages and fires no timers while down; the
         network drops traffic addressed to it.  ``terminated`` is NOT
-        set — termination is monotone and the session's stop condition
-        relies on that.
+        set, so a down process still holds its session's completion
+        :class:`Latch`; it counts there once, when it terminates after
+        :meth:`recover`.
         """
         if self.terminated or self.crashed:
             return
@@ -307,4 +308,52 @@ class Process:
         return f"{type(self).__name__}({self.name!r}, {status})"
 
 
-__all__ = ["Process"]
+class Latch:
+    """A session's completion latch: its gating processes still running.
+
+    A session completes when its gating processes have all terminated:
+    a payment's participants, or a deal's parties and arc escrows
+    (chains, TMs and observers never gate).  The latch holds the ones
+    not yet terminated and sits in the ``latch`` slot of the session's
+    :class:`~repro.sim.kernel.Simulator` or
+    :class:`~repro.sim.view.SessionView`, where :meth:`Process.terminate`
+    counts each of them once.  ``on_zero`` is called once: by the
+    termination that empties the latch, or by the constructor if none
+    is left to wait for.  A process outside the set never counts.
+    """
+
+    __slots__ = ("pending", "on_zero")
+
+    def __init__(
+        self, processes: Iterable[Process], on_zero: Callable[[], Any]
+    ) -> None:
+        self.pending = {p for p in processes if not p.terminated}
+        self.on_zero = on_zero
+        if not self.pending:
+            on_zero()
+
+    def count(self, process: Process) -> None:
+        """Count a terminated process (called by :meth:`Process.terminate`)."""
+        pending = self.pending
+        if process in pending:
+            pending.remove(process)
+            if not pending:
+                self.on_zero()
+
+
+def run_to_completion(
+    sim: Simulator, processes: Iterable[Process], until: float
+) -> None:
+    """Run a solo simulator until ``processes`` have all terminated.
+
+    The completion latch stops the run after the event in which the
+    last of them terminates; ``until`` is the horizon.  Completion is
+    judged after an event, never before the first: when none of them
+    is left to wait for, the run still executes one event, or reaches
+    ``until`` if no event is due by then.
+    """
+    latch = sim.latch = Latch(processes, sim.stop)
+    sim.run(until=until, max_events=None if latch.pending else 1)
+
+
+__all__ = ["Latch", "Process", "run_to_completion"]

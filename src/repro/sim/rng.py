@@ -90,9 +90,5 @@ class RngRegistry:
         """
         return RngRegistry(derive_seed(self.master_seed, f"fork:{name}"))
 
-    def known_streams(self) -> List[str]:
-        """Names of all streams created so far (sorted)."""
-        return sorted(self._streams)
-
 
 __all__ = ["RngRegistry", "RngStream", "derive_seed"]

@@ -10,10 +10,11 @@ contract (same payment seed ⇒ same outcome) would be lost.
 :class:`SessionView` is that separation, made structural: it presents
 the :class:`Simulator` surface the component stack actually consumes
 (``now`` / ``schedule`` / ``schedule_at`` / ``cancel`` / ``park`` /
-``trace`` / ``rng`` / the event counters), delegating time and
-scheduling to the shared kernel while owning a private
-:class:`~repro.sim.trace.TraceRecorder` and a private
-:class:`~repro.sim.rng.RngRegistry` seeded from the payment's own seed.
+``trace`` / ``rng`` / ``latch`` / the event counters), delegating
+time and scheduling to the shared kernel while owning a private
+:class:`~repro.sim.trace.TraceRecorder`, a private
+:class:`~repro.sim.rng.RngRegistry` seeded from the payment's own
+seed, and the payment's own completion latch.
 Networks, ledgers, processes, and clocks take the view wherever they
 would take a simulator and need no changes at all.
 
@@ -23,12 +24,15 @@ this is a composition-based proxy, not a subclass.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from .events import Event, EventPriority
 from .kernel import Park, Simulator
 from .rng import RngRegistry
 from .trace import TraceRecorder
+
+if TYPE_CHECKING:
+    from .process import Latch
 
 _INTERNAL = int(EventPriority.INTERNAL)
 
@@ -53,7 +57,7 @@ class SessionView:
         Optional externally owned registry, overriding ``seed``.
     """
 
-    __slots__ = ("kernel", "rng", "trace")
+    __slots__ = ("kernel", "rng", "trace", "latch")
 
     def __init__(
         self,
@@ -65,6 +69,8 @@ class SessionView:
         self.kernel = kernel
         self.rng = rng if rng is not None else RngRegistry(seed)
         self.trace = trace if trace is not None else TraceRecorder()
+        #: This session's completion latch (see :attr:`Simulator.latch`).
+        self.latch: Optional["Latch"] = None
 
     # -- arena lifecycle -------------------------------------------------
 
@@ -74,12 +80,14 @@ class SessionView:
         The arena lifecycle: one view serves many payments.  The shared
         kernel keeps running (time and the event queue are communal),
         so only the session-private halves are renewed — the RNG
-        registry is rebuilt from ``seed`` and the trace replaced (a
-        fresh full recorder when ``trace`` is omitted), mirroring
-        :meth:`Simulator.reset` for the solo-kernel case.
+        registry is rebuilt from ``seed``, the trace replaced (a fresh
+        full recorder when ``trace`` is omitted) and the completion
+        latch cleared, mirroring :meth:`Simulator.reset` for the
+        solo-kernel case.
         """
         self.rng = RngRegistry(seed)
         self.trace = trace if trace is not None else TraceRecorder()
+        self.latch = None
 
     # -- time / counters (shared) ---------------------------------------
 

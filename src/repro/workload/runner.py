@@ -35,10 +35,13 @@ guarantee checkers never ran — it never launched), zero latency and
 traffic, and still-true ``ledgers_ok`` (nothing was put at risk).
 
 Each launched payment is finalized either when all its participants
-terminated (checked after every kernel event, like the solo stop
-condition) or at its own deadline ``arrival + horizon`` (a low-priority
+terminated or at its own deadline ``arrival + horizon`` (a low-priority
 kernel event, so the per-payment horizon stays inclusive exactly like
-``Simulator.run(until=...)``).
+``Simulator.run(until=...)``).  Termination is counted by the payment's
+completion :class:`~repro.sim.process.Latch`, which sits on its view:
+the termination that empties it queues the payment and stops the
+kernel, so the cell finalizes it after that event — at the instant and
+event count a solo run stops at — and runs on.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from typing import Any, Dict, List, Optional, Sequence
 from ..errors import ExperimentError, WorkloadError
 from ..runtime.spec import TrialSpec, derive_seed
 from ..sim.kernel import Simulator
+from ..sim.process import Latch
 from ..sim.rng import RngRegistry
 from ..sim.trace import TraceRecorder
 from ..sim.view import SessionView
@@ -70,10 +74,8 @@ class _LivePayment:
         "deadline",
         "topology",
         "session",
-        "pending",
         "baseline",
         "deadline_event",
-        "done",
         "faults",
         "kind",
         "arena",
@@ -149,7 +151,8 @@ def run_workload_cell(
     kernel = Simulator(seed=seed)
     substrate = LiquiditySubstrate(liquidity)
     results: List[Optional[Dict[str, Any]]] = [None] * count
-    live: List[_LivePayment] = []
+    # Payments whose latch emptied in the event the kernel last ran.
+    completed: List[_LivePayment] = []
     finished = 0
     audit_ops = 0
     # Retired session arenas by topology kind: a payment that finished
@@ -182,10 +185,19 @@ def run_workload_cell(
     elif audit is not None:
         raise WorkloadError(f"unknown audit mode {audit!r}; use 'every-op'")
 
+    def _record(index: int, values: Dict[str, Any]) -> None:
+        nonlocal finished
+        results[index] = values
+        finished += 1
+        if finished == count:
+            kernel.stop()
+
     def _finalize(
         entry: _LivePayment, end_time: float, events: int, quiescent: bool = False
     ) -> None:
-        nonlocal finished
+        # A payment cut off by its deadline may still terminate later;
+        # its latch must not report it again.
+        entry.session.env.sim.latch = None
         outcome = entry.session.collect(end_time=end_time, events_executed=events)
         substrate.retire(entry.topology.payment_id, entry.session.env.ledgers)
         values = payment_values(
@@ -200,31 +212,29 @@ def run_workload_cell(
         )
         values["arrival_time"] = entry.arrival
         values["liquidity_failed"] = False
-        results[entry.index] = values
-        entry.done = True
-        finished += 1
+        _record(entry.index, values)
         if quiescent:
             stats = entry.session.env.network.stats
             if stats.delivered == stats.sent:
                 arenas.setdefault(entry.kind, []).append(entry.arena)
 
     def _expire(entry: _LivePayment) -> None:
-        if entry.done:  # pragma: no cover - deadline events are cancelled
-            return
         # The deadline tick itself is not one of the payment's events.
         events = kernel.executed_events - entry.baseline - 1
         _finalize(entry, entry.deadline, events)
 
+    def _complete(entry: _LivePayment) -> None:
+        completed.append(entry)
+        kernel.stop()
+
     def _arrive(index: int) -> None:
-        nonlocal finished
         payment_id = f"{payment_label}-p{index}"
         topology = _topology_for(kinds[index], payment_id)
         if not substrate.admit(topology):
             values = refused_payment_values(topology, protocol)
             values["arrival_time"] = times[index]
             values["liquidity_failed"] = True
-            results[index] = values
-            finished += 1
+            _record(index, values)
             return
         payment_seed = derive_seed(seed, index)
         free = arenas.get(kinds[index])
@@ -281,50 +291,30 @@ def run_workload_cell(
         entry.deadline = times[index] + horizon
         entry.topology = topology
         entry.session = session
-        entry.pending = list(participants)
         entry.baseline = kernel.executed_events
-        entry.done = False
         entry.faults = injector
         entry.deadline_event = kernel.schedule_at(
             entry.deadline, _expire, entry,
             priority=DEADLINE_PRIORITY, label="workload.deadline",
         )
-        live.append(entry)
-
-    def _check(sim) -> bool:
-        prune = False
-        for entry in live:
-            if entry.done:
-                prune = True
-                continue
-            pending = entry.pending
-            while pending and pending[-1].terminated:
-                pending.pop()
-            if not pending:
-                kernel.cancel(entry.deadline_event)
-                _finalize(
-                    entry,
-                    kernel.now,
-                    kernel.executed_events - entry.baseline,
-                    quiescent=True,
-                )
-                prune = True
-        if prune:
-            live[:] = [entry for entry in live if not entry.done]
-        return finished >= count
+        view.latch = Latch(participants, lambda: _complete(entry))
 
     for index in range(count):
         kernel.schedule_at(times[index], _arrive, index, label="workload.arrival")
-    kernel.add_stop_condition(_check)
-    kernel.run(until=times[-1] + horizon)
-    # Deadlines all lie within the run horizon, so nothing should be
-    # left; finalize defensively rather than return a partial cell.
-    for entry in live:
-        if not entry.done:  # pragma: no cover - defensive
+    # Every arrival and deadline lies within `end`, so a run that is
+    # not stopped leaves every payment finished.
+    end = times[-1] + horizon
+    while finished < count:
+        kernel.run(until=end)
+        for entry in completed:
+            kernel.cancel(entry.deadline_event)
             _finalize(
-                entry, entry.deadline, kernel.executed_events - entry.baseline
+                entry,
+                kernel.now,
+                kernel.executed_events - entry.baseline,
+                quiescent=True,
             )
-    live.clear()
+        completed.clear()
 
     failures = sum(1 for values in results if values["liquidity_failed"])
     return {

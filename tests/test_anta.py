@@ -125,7 +125,7 @@ class TestExecution:
         net.send(peer, "a", MsgKind.MONEY, None)  # early: must be buffered
         sim.run()
         assert auto.state == "s1"
-        assert auto.buffered_count() == 1
+        assert len(auto._buffer) == 1
         net.send(peer, "a", MsgKind.CERTIFICATE, None)
         sim.run()
         assert auto.terminated  # buffer drained after entering s2

@@ -66,8 +66,15 @@ class TestChain:
             chain.deploy(CertifiedBroadcastContract("log"))
 
     def test_time_to_finality(self):
+        """A transaction is final within one mempool wait plus
+        ``confirmations`` block intervals of its submission."""
         sim, chain = _chain(block_interval=2.0, confirmations=3)
-        assert chain.time_to_finality() == 8.0
+        chain.deploy(CertifiedBroadcastContract("log"))
+        sim.run(until=0.5)
+        tx = chain.submit("alice", "log", "publish", {"payload": 1})
+        sim.run(until=20.0)
+        time_to_finality = (1 + chain.confirmations) * chain.block_interval
+        assert chain.receipts[tx.tx_id].final_at - 0.5 <= time_to_finality
 
     def test_invalid_parameters(self):
         sim = Simulator()
@@ -199,16 +206,10 @@ def chain_schedules(draw):
 
 @st.composite
 def driven_schedules(draw):
-    """A chain schedule plus stop conditions, run segments and steps."""
+    """A chain schedule plus stop timers, run segments and steps."""
     schedule = draw(chain_schedules())
     schedule["stops"] = draw(
-        st.lists(
-            st.one_of(
-                st.tuples(st.just("events"), st.integers(1, 120)),
-                st.tuples(st.just("time"), _tenths),
-            ),
-            max_size=2,
-        )
+        st.lists(st.tuples(_tenths, st.sampled_from(PRIORITIES)), max_size=2)
     )
     schedule["runs"] = draw(
         st.lists(
@@ -222,7 +223,8 @@ def driven_schedules(draw):
 
 
 class _Client(Process):
-    """Submits one transaction to a chain at each of its timers."""
+    """Submits one transaction to a chain at each of its timers, or
+    stops the run at a timer with no target chain."""
 
     def __init__(self, sim, name, world):
         super().__init__(sim, name)
@@ -231,6 +233,10 @@ class _Client(Process):
 
     def on_timer(self, timer_id):
         target = self.targets[timer_id]
+        if target is None:
+            self.world.note("stop", timer_id)
+            self.sim.stop()
+            return
         sender = f"{self.name}.{timer_id}"
         self.world.note("submit", sender, target)
         self.world.chains[target].submit(sender, "log", "publish", {"payload": sender})
@@ -264,10 +270,9 @@ class _World:
         for n, (client, target, time, priority) in enumerate(schedule["submits"]):
             clients[client].targets[f"t{n}"] = target
             clients[client].set_timer_at(f"t{n}", time, priority=priority)
-        for n, stop in enumerate(schedule.get("stops", ())):
-            sim.add_stop_condition(
-                lambda sim, n=n, stop=stop: self._stop(n, stop)
-            )
+        for n, (time, priority) in enumerate(schedule.get("stops", ())):
+            clients[0].targets[f"stop{n}"] = None
+            clients[0].set_timer_at(f"stop{n}", time, priority=priority)
 
     def heights(self):
         return tuple(chain.height for chain in self.chains)
@@ -288,13 +293,6 @@ class _World:
             self.chains[target].submit(
                 f"react.{sender}", "log", "publish", {"payload": sender}
             )
-
-    def _stop(self, n, stop):
-        self.note("stop?", n)
-        kind, value = stop
-        if kind == "events":
-            return self.sim.executed_events == value
-        return self.sim.now >= value
 
     def drive(self, schedule):
         """Run the drawn segments, then the drawn steps."""
@@ -367,12 +365,12 @@ class TestParkedTicks:
 
     def test_parked_tick_is_an_executed_event(self):
         sim, chain = _chain()
-        seen = []
-        sim.add_stop_condition(lambda sim: seen.append(sim.now) or False)
-        assert sim.run(until=3.5) == 3
-        assert seen == [1.0, 2.0, 3.0]
-        assert (chain.height, chain.blocks, sim.executed_events) == (3, [], 3)
-        assert sim.pending_events == 1
+        sim.schedule_at(2.5, sim.stop)
+        assert sim.run(until=5.5) == 3
+        assert (sim.now, chain.height, sim.executed_events) == (2.5, 2, 3)
+        assert sim.run(until=3.5) == 1
+        assert (sim.now, chain.height, sim.executed_events) == (3.5, 3, 4)
+        assert chain.blocks == [] and sim.pending_events == 1
 
     def test_submission_unparks_at_the_held_place(self):
         sim, chain = _chain()

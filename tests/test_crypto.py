@@ -27,7 +27,8 @@ from repro.errors import CryptoError, SignatureError
 @pytest.fixture()
 def ring():
     ring = KeyRing(domain="test")
-    ring.create_all(["alice", "bob", "eve"])
+    for name in ("alice", "bob", "eve"):
+        ring.create(name)
     return ring
 
 

@@ -43,16 +43,17 @@ def test_checker_detects_a_missing_name(tmp_path, monkeypatch):
     assert not any("`sim/kernel.py`" in p for p in problems)
 
 
-def _path_problems(tmp_path, documents):
-    """The checker's path findings on a tree holding ``documents``
-    (relative path -> text) beside the real ``src/`` and ``tools/``."""
+def _path_problems(tmp_path, documents, kind="path"):
+    """The checker's ``kind`` findings (``path`` or ``member``) on a tree
+    holding ``documents`` (relative path -> text) beside the real
+    ``src/`` and ``tools/``."""
     checker = _load_checker()
     (tmp_path / "docs").mkdir()
     for rel, text in {"README.md": "", "docs/PAPER_MAP.md": "", **documents}.items():
         (tmp_path / rel).write_text(text)
     for name in ("src", "tools"):
         (tmp_path / name).symlink_to(ROOT / name)
-    return [p for p in checker.find_gaps(tmp_path) if ": path `" in p]
+    return [p for p in checker.find_gaps(tmp_path) if f": {kind} `" in p]
 
 
 @pytest.mark.parametrize(
@@ -82,3 +83,27 @@ def test_checker_ignores_text_that_is_not_a_source_path(tmp_path):
 def test_checker_reads_every_document_in_docs(tmp_path):
     problems = _path_problems(tmp_path, {"docs/NOTES.md": "`sim/queue.py`"})
     assert problems == ["docs/NOTES.md: path `sim/queue.py` does not exist"]
+
+
+@pytest.mark.parametrize(
+    "reference",
+    [
+        "Simulator.run",  # a method
+        "Simulator.reset()",  # a method, written as a call
+        "PaymentEnv.sim",  # a dataclass field without a default
+        "SessionView.kernel",  # a slot
+        "Process.terminated",  # an attribute set in __init__
+        "TimedAutomaton.send_decision",  # an inherited method
+        "NoSuchClass.member",  # not a class of repro: ignored
+        "BENCHMARK.json",  # not a class at all: ignored
+    ],
+)
+def test_checker_resolves_class_members(tmp_path, reference):
+    readme = f"see `{reference}`"
+    assert _path_problems(tmp_path, {"README.md": readme}, "member") == []
+
+
+def test_checker_flags_a_missing_class_member(tmp_path):
+    documents = {"docs/NOTES.md": "`Process.timer_pending`, `Process.terminate`"}
+    problems = _path_problems(tmp_path, documents, "member")
+    assert problems == ["docs/NOTES.md: member `Process.timer_pending` does not exist"]

@@ -45,7 +45,7 @@ class TestAmount:
             Amount("X", 10).scaled(1, 0)
 
     def test_flags(self):
-        assert Amount("X", 0).is_zero
+        assert not Amount("X", 0).is_positive
         assert Amount("X", 1).is_positive
 
     @given(st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))

@@ -119,7 +119,8 @@ class TestNetwork:
         sim = Simulator(seed=1)
         net = Network(sim, timing or Synchronous(1.0), adversary)
         a, b = Echo(sim, "a"), Echo(sim, "b")
-        net.register_all([a, b])
+        net.register(a)
+        net.register(b)
         return sim, net, a, b
 
     def test_send_and_deliver(self):

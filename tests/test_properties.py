@@ -196,7 +196,8 @@ class TestSuites:
         assert report.status_of(PropertyId.ES) is Status.HOLDS
         assert report.status_of(PropertyId.CC) is None
         assert "ES" in report.summary()
-        assert report.by_property()[PropertyId.ES].ok
+        by_property = {v.property_id: v for v in report.verdicts}
+        assert by_property[PropertyId.ES].ok
 
 
 class TestMultiSourceGraphs:

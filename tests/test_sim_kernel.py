@@ -153,12 +153,12 @@ class TestRunLoop:
         sim.run(until=1.0)
         assert sim.now == 3.0
 
-    def test_stop_condition_leaves_clock_at_last_event(self):
+    def test_stop_leaves_clock_at_last_event(self):
         """The horizon only binds when the run actually reaches it: a
-        stop condition halting earlier keeps the event-time clock."""
+        stop() from a callback halting earlier keeps the event-time
+        clock."""
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.add_stop_condition(lambda s: True)
+        sim.schedule(1.0, sim.stop)
         sim.run(until=10.0)
         assert sim.now == 1.0
 
@@ -177,13 +177,13 @@ class TestRunLoop:
         executed = sim.run(max_events=10)
         assert executed == 10
 
-    def test_stop_condition_halts(self):
+    def test_stop_halts_the_current_run_only(self):
         sim = Simulator()
         for i in range(10):
-            sim.schedule(float(i + 1), lambda: None)
-        sim.add_stop_condition(lambda s: s.now >= 3.0)
-        sim.run()
-        assert sim.now == 3.0
+            sim.schedule(float(i + 1), sim.stop if i == 2 else (lambda: None))
+        assert sim.run() == 3
+        assert sim.now == 3.0 and sim.pending_events == 7
+        assert sim.run() == 7
 
     def test_stop_method_halts_after_current_event(self):
         sim = Simulator()
@@ -227,17 +227,18 @@ class TestRunLoop:
         assert sim.step()
         assert "e" in error and sim.pending_events == 1
 
-    def test_step_runs_the_stop_conditions(self):
-        """A step is a one-event run: the stop conditions see it."""
+    def test_step_is_a_one_event_run(self):
+        """A stop() the stepped event requests ends that step only, and
+        a stop() requested outside a run is dropped."""
         sim = Simulator()
+        sim.schedule(1.0, sim.stop)
         for i in range(3):
-            sim.schedule(float(i + 1), lambda: None)
-        seen = []
-        sim.add_stop_condition(lambda s: seen.append(s.now) or False)
-        assert sim.step() and sim.step()
-        assert seen == [1.0, 2.0]
-        assert sim.run() == 1 and not sim.step()
-        assert seen == [1.0, 2.0, 3.0]
+            sim.schedule(float(i + 2), lambda: None)
+        assert sim.step() and sim.now == 1.0
+        assert sim.step() and sim.now == 2.0
+        sim.stop()
+        assert sim.run() == 2 and not sim.step()
+        assert sim.now == 4.0 and sim.executed_events == 4
 
     def test_events_scheduled_during_run_execute(self):
         sim = Simulator()

@@ -9,11 +9,14 @@ registry (`repro.analysis.query.METRICS`) feeds ``--list-metrics``
 and the ``analyze --help`` epilog, and the ``analyze`` parser's flags
 are the subcommand's real interface — docs/ANALYSIS.md documents
 both, and README.md documents every ``repro campaign`` and ``repro
-workload`` flag.  The docs also name source files by path, which rot
-when a module is deleted or moved.  This script fails (exit 1) when
-any registered axis name, analysis metric, or CLI flag is missing from
-the document that promises it, or when a backticked ``dir/file.py``
-path in README.md or docs/*.md names no file, naming each gap.
+workload`` flag.  The docs also name source files by path and class
+members as ``Class.member``, which rot when a module or a method is
+deleted or moved.  This script fails (exit 1) when any registered axis
+name, analysis metric, or CLI flag is missing from the document that
+promises it, when a backticked ``dir/file.py`` path in README.md or
+docs/*.md names no file, or when a backticked ``Class.member`` there
+names a class defined in ``repro`` that has no such member, naming
+each gap.
 
 Run from the repository root (CI does)::
 
@@ -25,6 +28,9 @@ a registry change without a docs update fails locally too.
 
 from __future__ import annotations
 
+import importlib
+import inspect
+import pkgutil
 import re
 import sys
 from pathlib import Path
@@ -52,6 +58,41 @@ PATH_ROOTS = ("", "src", "src/repro")
 
 _SOURCE_PATH = re.compile(r"`([^`\s]*/[^`\s]*\.py)`")
 
+#: A backticked member reference in the docs (``Simulator.run`` or
+#: ``Simulator.reset()``); only classes defined in ``repro`` are checked.
+_MEMBER_REFERENCE = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\([^`]*\))?`")
+
+
+def _repro_classes() -> Dict[str, List[type]]:
+    """Every class defined in the ``repro`` package, by name."""
+    import repro
+
+    classes: Dict[str, List[type]] = {}
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        if info.name.endswith(".__main__"):  # runs the CLI on import
+            continue
+        for value in vars(importlib.import_module(info.name)).values():
+            if isinstance(value, type) and value.__module__ == info.name:
+                classes.setdefault(value.__name__, []).append(value)
+    return classes
+
+
+def _has_member(cls: type, member: str) -> bool:
+    """Whether ``cls`` or a base defines ``member``: as a class
+    attribute (a method, a property, a slot, a defaulted field), an
+    annotated field, or an attribute its code assigns on ``self``."""
+    if hasattr(cls, member):
+        return True
+    assigned = re.compile(rf"\bself\.{member}\s*(?::[^=\n]*)?=(?!=)")
+    for klass in cls.__mro__:
+        if member in vars(klass).get("__annotations__", {}):
+            return True
+        if klass.__module__.startswith("repro.") and assigned.search(
+            inspect.getsource(klass)
+        ):
+            return True
+    return False
+
 
 def _read_documents(root: Path, names, problems: List[str]) -> Dict[str, str]:
     texts: Dict[str, str] = {}
@@ -74,6 +115,8 @@ def find_gaps(root: Path = ROOT) -> List[str]:
         from repro.scenarios.registry import TOPOLOGY_BUILDERS, axis_descriptions
         from repro.sim.faults import CRASH_POINT_DOCS, CRASH_POINTS
         from repro.workload.cli import cli_flags as workload_cli_flags
+
+        classes = _repro_classes()
     finally:
         sys.path.pop(0)
 
@@ -176,18 +219,25 @@ def find_gaps(root: Path = ROOT) -> List[str]:
                         "not documented"
                     )
 
-    # Source paths: every backticked `dir/file.py` in the README and
-    # docs/*.md must name an existing file, so a deleted or moved
-    # module cannot stay documented.
+    # Source paths and class members: every backticked `dir/file.py` in
+    # the README and docs/*.md must name an existing file, and every
+    # backticked `Class.member` of a class defined in repro a member
+    # of it, so a deleted or moved module or method cannot stay
+    # documented.
     path_documents = [root / "README.md", *sorted((root / "docs").glob("*.md"))]
     for document in path_documents:
         if not document.is_file():
             continue
         rel = document.relative_to(root).as_posix()
-        paths = set(_SOURCE_PATH.findall(document.read_text(encoding="utf-8")))
-        for path in sorted(paths):
+        text = document.read_text(encoding="utf-8")
+        for path in sorted(set(_SOURCE_PATH.findall(text))):
             if not any((root / base / path).is_file() for base in PATH_ROOTS):
                 problems.append(f"{rel}: path `{path}` does not exist")
+        for name, member in sorted(set(_MEMBER_REFERENCE.findall(text))):
+            if name in classes and not any(
+                _has_member(cls, member) for cls in classes[name]
+            ):
+                problems.append(f"{rel}: member `{name}.{member}` does not exist")
     return problems
 
 
@@ -201,13 +251,15 @@ def main() -> int:
             f"{' / '.join(DOCUMENTS + (ANALYSIS_DOCUMENT,))} to match "
             "repro/scenarios/registry.py, repro/analysis/query.py, "
             "repro/analysis/cli.py, repro/scenarios/cli.py and "
-            "repro/workload/cli.py, and every documented path to the source tree",
+            "repro/workload/cli.py, and every documented path and class "
+            "member to the source tree",
             file=sys.stderr,
         )
         return 1
     print(
         "docs-consistency: all registry axes, analysis metrics, and "
-        "analyze flags documented; every documented path exists"
+        "analyze flags documented; every documented path and class "
+        "member exists"
     )
     return 0
 
