@@ -20,7 +20,7 @@ the buffer is FIFO, so runs are reproducible.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from ..clocks import DriftingClock, PERFECT_CLOCK
 from ..errors import AutomatonError
@@ -33,10 +33,8 @@ from ..sim.trace import TraceKind
 from .transitions import (
     AutomatonSpec,
     ReceiveSpec,
-    SendSpec,
     StateKind,
     StateSpec,
-    TimeoutSpec,
     resolve_name,
 )
 

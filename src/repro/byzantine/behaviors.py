@@ -22,11 +22,10 @@ windows, neighbour names) so transforms can be role-aware.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Tuple, Union
 
 from ..anta.transitions import (
     AutomatonSpec,
-    ReceiveSpec,
     SendSpec,
     StateKind,
     StateSpec,

@@ -21,7 +21,6 @@ rate error dominates and is locally constant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import ClockError
 from .sim.rng import RngStream

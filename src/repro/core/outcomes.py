@@ -14,10 +14,9 @@ by all protocols in this library:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Set
 
-from ..ledger.asset import Amount
 from ..ledger.ledger import Ledger
 from ..sim.trace import TraceKind, TraceRecorder
 from .topology import PaymentGraph

@@ -8,7 +8,7 @@ tables can say "protocol X under model Y satisfies spec Z".
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Tuple
 

@@ -20,7 +20,7 @@ conduct is auditable).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..errors import CryptoError
 from .keys import Identity, KeyRing

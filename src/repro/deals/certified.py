@@ -16,12 +16,11 @@ deal everyone wanted.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from ..clocks import DriftingClock, PERFECT_CLOCK
 from ..crypto.certificates import Decision, DecisionCertificate
 from ..crypto.keys import Identity
-from ..errors import DealError
 from ..ledger.asset import Amount
 from ..ledger.blockchain import Receipt, SimpleChain
 from ..ledger.contracts import CertifiedBroadcastContract
@@ -30,7 +29,7 @@ from ..net.message import Envelope, MsgKind
 from ..protocols.weak.tm import TMVotes
 from ..sim.process import Process
 from ..sim.trace import TraceKind
-from .common import DealEnv, arc_escrow_name
+from .common import DealEnv, DealProcesses, arc_escrow_name
 from .matrix import DealMatrix
 
 
@@ -290,7 +289,7 @@ class CertifiedDealParty(Process):
 
 def build_certified_deal(
     env: DealEnv, byzantine: Dict[int, str], options: Dict[str, Any]
-) -> Tuple[List[Process], List[Process]]:
+) -> DealProcesses:
     """Protocol factory for :class:`~repro.deals.common.DealSession`."""
     matrix = env.matrix
     chain_name = "dealcbc"

@@ -14,8 +14,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clocks import DriftingClock, PERFECT_CLOCK, random_clock
 from ..crypto.keys import KeyRing
-from ..errors import DealError
-from ..ledger.asset import Amount
 from ..ledger.ledger import Ledger
 from ..net.adversary import Adversary
 from ..net.network import Network
@@ -28,6 +26,12 @@ from .payoff import acceptable, classify
 
 def arc_escrow_name(i: int, j: int) -> str:
     return f"esc_{i}_{j}"
+
+
+#: The processes a deal factory builds: ``(parties, escrows,
+#: infrastructure)``.  Only parties and arc escrows gate completion;
+#: infrastructure (chains, observers) may run forever.
+DealProcesses = Tuple[List[Process], List[Process], List[Process]]
 
 
 @dataclass
@@ -94,15 +98,15 @@ class DealSession:
     """Build and run one deal protocol instance.
 
     Parameters mirror :class:`~repro.core.session.PaymentSession`;
-    ``protocol_factory`` is a callable ``(env, byzantine, options) ->
-    (parties, escrows)`` returning the processes to run (see
+    ``protocol_factory`` is a callable ``(env, byzantine, options) ->``
+    :data:`DealProcesses` returning the processes to run (see
     :mod:`repro.deals.timelock` / :mod:`repro.deals.certified`).
     """
 
     def __init__(
         self,
         matrix: DealMatrix,
-        protocol_factory: Callable[..., Tuple[List[Process], List[Process]]],
+        protocol_factory: Callable[..., DealProcesses],
         timing: TimingModel,
         adversary: Optional[Adversary] = None,
         seed: int = 0,
@@ -153,17 +157,12 @@ class DealSession:
 
     def run(self) -> DealOutcome:
         env = self._build_env()
-        built = self.protocol_factory(env, self.byzantine, self.options)
-        if len(built) == 3:
-            parties, escrows, infrastructure = built
-        else:
-            parties, escrows = built
-            infrastructure = []
+        parties, escrows, infrastructure = self.protocol_factory(
+            env, self.byzantine, self.options
+        )
         for process in infrastructure + escrows + parties:
             env.network.register(process)
             process.start()
-        # Infrastructure (chains, observers) runs forever; only parties
-        # and arc escrows gate completion.
         run_to_completion(env.sim, parties + escrows, self.horizon)
         return self._collect(env, parties, escrows)
 
@@ -204,4 +203,10 @@ class DealSession:
         )
 
 
-__all__ = ["DealEnv", "DealOutcome", "DealSession", "arc_escrow_name"]
+__all__ = [
+    "DealEnv",
+    "DealOutcome",
+    "DealProcesses",
+    "DealSession",
+    "arc_escrow_name",
+]

@@ -12,8 +12,8 @@ This module is dependency-free (strong connectivity via Kosaraju);
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import DealError
 from ..ledger.asset import Amount

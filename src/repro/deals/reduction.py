@@ -26,10 +26,9 @@ Deal ↛ Payment
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional
 
 from ..core.topology import PaymentTopology
-from ..errors import DealError
 from .matrix import DealMatrix
 
 

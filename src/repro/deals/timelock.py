@@ -32,8 +32,7 @@ from ..ledger.asset import Amount
 from ..ledger.ledger import Ledger
 from ..net.message import Envelope, MsgKind
 from ..sim.process import Process
-from ..sim.trace import TraceKind
-from .common import DealEnv, arc_escrow_name
+from .common import DealEnv, DealProcesses, arc_escrow_name
 from .matrix import DealMatrix
 
 
@@ -242,7 +241,7 @@ class TimelockDealParty(Process):
 
 def build_timelock_deal(
     env: DealEnv, byzantine: Dict[int, str], options: Dict[str, Any]
-) -> Tuple[List[Process], List[Process]]:
+) -> DealProcesses:
     """Protocol factory for :class:`~repro.deals.common.DealSession`."""
     matrix = env.matrix
     if not matrix.is_well_formed():
@@ -301,7 +300,7 @@ def build_timelock_deal(
                 behavior=byzantine.get(p),
             )
         )
-    return parties, escrows
+    return parties, escrows, []
 
 
 __all__ = ["TimelockArcEscrow", "TimelockDealParty", "build_timelock_deal"]

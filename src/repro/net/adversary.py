@@ -14,7 +14,7 @@ a property of participants, not of the network.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .message import Envelope, MsgKind
 

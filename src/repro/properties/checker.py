@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from ..core.outcomes import PaymentOutcome
 from ..core.problem import PropertyId
-from .base import CheckReport, Status, Verdict, holds, vacuous, violated
+from .base import CheckReport, Verdict, holds, vacuous, violated
 from .liveness import (
     EventualTermination,
     StrongLiveness,
@@ -72,7 +72,7 @@ def check_definition1(
         Certificate kinds that satisfy CS1 — the paper's χ by default;
         protocols with a different receipt (HTLC's revealed preimage)
         pass their own (see
-        :data:`repro.verification.properties.DEFINITION_PROFILES`).
+        :attr:`repro.protocols.base.PaymentProtocol.receipt_kinds`).
     """
     report = CheckReport()
     report.add(consistency_verdict(outcome))

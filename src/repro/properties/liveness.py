@@ -9,8 +9,6 @@ supplied by the caller (typically
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.outcomes import PaymentOutcome
 from ..core.problem import PropertyId
 from .base import PropertyChecker, Verdict, holds, vacuous, violated

@@ -87,13 +87,20 @@ class CBCBackend(ChainBackend):
 
 @register_protocol
 class CertifiedCommitProtocol(WeakLivenessProtocol):
-    """Weak-liveness participants over a certified-blockchain decision log.
+    """weak protocol over a certified-blockchain log (Definition 2)
 
-    Options: ``block_interval``, ``confirmations``, plus the patience
-    options of :class:`WeakLivenessProtocol`.
+    Weak-liveness participants over a certified-blockchain decision
+    log.  Options: ``block_interval``, ``confirmations``, plus the
+    patience options of :class:`WeakLivenessProtocol` (but no ``tm``:
+    the log is the transaction manager).
     """
 
     name = "certified"
+    known_options = frozenset({
+        "patience_setup", "patience_decision", "patience_overrides",
+        "block_interval", "confirmations",
+    })
+    sweep_defaults = {"patience_setup": 500.0, "patience_decision": 500.0}
 
     @classmethod
     def tm_backend(cls, options: Mapping[str, Any]) -> TMBackend:

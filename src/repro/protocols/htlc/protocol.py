@@ -46,7 +46,7 @@ Options
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, FrozenSet, Optional, Sequence, Set
 
 from ...clocks import DriftingClock, PERFECT_CLOCK
 from ...crypto.hashlock import HashLock, Preimage, sink_secrets
@@ -56,7 +56,7 @@ from ...ledger.ledger import Ledger
 from ...net.message import Envelope, MsgKind
 from ...sim.process import Process
 from ...sim.trace import TraceKind
-from ..base import PaymentProtocol, check_supported, register_protocol
+from ..base import PaymentProtocol, register_protocol
 
 
 class HTLCEscrow(Process):
@@ -441,9 +441,18 @@ class HTLCCustomer(Process):
 
 @register_protocol
 class HTLCProtocol(PaymentProtocol):
-    """The hash-timelock baseline on payment graphs."""
+    """hash time-locked contracts (Definition 1, preimage receipts)
+
+    The hash-timelock baseline on payment graphs.
+    """
 
     name = "htlc"
+    definition = 1
+    receipt_kinds = ("preimage",)
+    known_options = frozenset({"delta", "epsilon", "step", "give_up_margin"})
+    # An assumed Δ staggers the deadlines where the timing model
+    # publishes none.
+    sweep_defaults = {"delta": 1.0}
     supported_topologies: FrozenSet[str] = frozenset(
         {"path", "dag", "multi-source"}
     )
@@ -454,7 +463,6 @@ class HTLCProtocol(PaymentProtocol):
     def build(self) -> None:
         env = self.env
         topo = env.topology
-        check_supported(topo, type(self))
         delta = self.option("delta", env.network.timing.known_bound)
         if delta is None:
             raise ProtocolError(

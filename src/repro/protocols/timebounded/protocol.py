@@ -68,9 +68,21 @@ from .escrow import escrow_spec
 
 @register_protocol
 class TimeBoundedProtocol(PaymentProtocol):
-    """The universal protocol fine-tuned for clock drift (paper §4)."""
+    """Theorem 1 time-bounded protocol (Definition 1, χ receipts)
+
+    The universal protocol fine-tuned for clock drift (paper §4).
+    """
 
     name = "timebounded"
+    definition = 1
+    receipt_kinds = ("chi",)
+    known_options = frozenset({
+        "delta", "epsilon", "rho", "drift_tuned", "margin",
+        "processing_bound", "processing_floor", "no_timeout",
+    })
+    # An assumed Δ keeps the calculus defined where the timing model
+    # publishes none (partial synchrony, asynchrony).
+    sweep_defaults = {"delta": 1.0, "epsilon": 0.05}
     supported_topologies = frozenset({"path", "dag", "multi-source"})
     # Escrows are TimedAutomata with decision-grade commit/refund
     # states: checkpoint at input states, write-ahead log around the

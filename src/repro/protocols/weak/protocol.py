@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, FrozenSet, Mapping, Optional, Tuple
 
 from ...errors import ProtocolError
-from ..base import PaymentProtocol, check_supported, register_protocol
+from ..base import PaymentProtocol, register_protocol
 from .customer import WeakCustomer
 from .escrow import WeakEscrow
 from .tm import TMBackend, make_backend
@@ -31,16 +31,26 @@ from .tm import TMBackend, make_backend
 
 @register_protocol
 class WeakLivenessProtocol(PaymentProtocol):
-    """Cross-chain payment with weak liveness guarantees (Definition 2).
+    """Theorem 3 weak protocol, trusted TM (Definition 2)
 
-    Graph-native: one escrow automaton per hop edge, customer roles
-    read off in/out degree (sources deposit into every outgoing hop,
-    sinks request commit once every incoming hop is escrowed), and the
-    transaction manager renders one commit/abort decision over the
-    whole DAG from per-edge votes.
+    Cross-chain payment with weak liveness guarantees.  Graph-native:
+    one escrow automaton per hop edge, customer roles read off in/out
+    degree (sources deposit into every outgoing hop, sinks request
+    commit once every incoming hop is escrowed), and the transaction
+    manager renders one commit/abort decision over the whole DAG from
+    per-edge votes.
     """
 
     name = "weak"
+    definition = 2
+    receipt_kinds = ("commit",)
+    known_options = frozenset({
+        "tm", "patience_setup", "patience_decision", "patience_overrides",
+    })
+    # Finite patience: impatient aborts bound termination.
+    sweep_defaults = {
+        "tm": "trusted", "patience_setup": 120.0, "patience_decision": 120.0,
+    }
     supported_topologies: FrozenSet[str] = frozenset(
         {"path", "dag", "multi-source"}
     )
@@ -62,7 +72,6 @@ class WeakLivenessProtocol(PaymentProtocol):
     def build(self) -> None:
         env = self.env
         topo = env.topology
-        check_supported(topo, type(self))
         self.backend: TMBackend = self.tm_backend(self.options)
         self.backend.build(self)
 

@@ -35,6 +35,7 @@ process-pool parallelism, and spec-ordered byte-identical aggregation.
 ['htlc', 'htlc', 'weak', 'weak']
 """
 
+from ..protocols.base import available_protocols
 from .campaign import (
     GROUP_AXES,
     CampaignDiff,
@@ -46,10 +47,8 @@ from .campaign import (
 )
 from .registry import (
     ADVERSARIES,
-    PROTOCOLS,
     TIMINGS,
     available_adversaries,
-    available_protocols,
     available_timings,
     available_topologies,
     axis_descriptions,
@@ -57,7 +56,6 @@ from .registry import (
     check_adversary,
     check_topology,
     make_adversary,
-    protocol_defaults,
     timing_descriptor,
 )
 from .spec import CampaignSpec, ScenarioSpec
@@ -68,7 +66,6 @@ __all__ = [
     "CampaignDiff",
     "CampaignSpec",
     "GROUP_AXES",
-    "PROTOCOLS",
     "ScenarioSpec",
     "TIMINGS",
     "aggregate_campaign",
@@ -84,7 +81,6 @@ __all__ = [
     "load_campaign",
     "make_adversary",
     "merge_resumed",
-    "protocol_defaults",
     "run_campaign",
     "scenario_trial",
     "timing_descriptor",

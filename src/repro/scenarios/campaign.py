@@ -36,7 +36,6 @@ from ..runtime import (
     Executor,
     SweepResult,
     TrialRecord,
-    TrialSpec,
     load_sweep_result,
     resolve_executor,
 )

@@ -46,6 +46,7 @@ import argparse
 from typing import List, Optional
 
 from ..errors import PersistenceError, ScenarioError
+from ..protocols.base import available_protocols
 from ..runtime import ScanResult, SweepSpec, TrialError
 from ..runtime.frontend import (
     Resume,
@@ -67,7 +68,7 @@ from .campaign import (
     merge_resumed,
     render_table,
 )
-from .registry import available_protocols, axis_descriptions
+from .registry import DEFAULT_HORIZON, axis_descriptions
 from .spec import CampaignSpec
 
 #: (flag, namespace attribute) of the matrix axes, which ``--from``
@@ -168,7 +169,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "horizon axis: one or more global-time backstops (e.g. "
             "50,100); values enter the cell coordinates (default: "
-            "per-protocol campaign defaults)"
+            f"scalar {DEFAULT_HORIZON:,.0f} outside the grid)"
         ),
     )
     add_sweep_flags(

@@ -7,16 +7,19 @@ inside trial specs) or a module-level factory (adversaries and
 topologies, which are live objects and therefore built inside the trial
 function, never pickled).
 
-Protocols come with campaign defaults: the option payload that makes
-each protocol *runnable under every timing model in the registry*.  The
-time-bounded and HTLC protocols need an assumed delay bound Δ once the
-timing model publishes none (partial synchrony, asynchrony — running
-them there is exactly what campaigns are for); the weak and certified
-protocols need finite patience so impatient aborts bound termination.
+Protocols are the registered
+:class:`~repro.protocols.base.PaymentProtocol` classes themselves: this
+module keeps no table of them.  Each class declares its
+``sweep_defaults``, the option payload that makes it *runnable under
+every timing model in the registry*.  The time-bounded and HTLC
+protocols need an assumed delay bound Δ once the timing model publishes
+none (partial synchrony, asynchrony — running them there is exactly
+what campaigns are for); the weak and certified protocols need finite
+patience so impatient aborts bound termination.
 
 Every entry is self-describing: the one-line descriptions shown by
 ``python -m repro campaign --list-axes`` are sourced from the entries'
-own docstrings (factories) or ``doc`` fields (protocol defaults) via
+own docstrings (factories and protocol classes) via
 :func:`axis_descriptions`, and the docs-consistency CI check
 (``tools/check_docs.py``) walks the same function — so the registry,
 the CLI listing, and the documentation tables cannot drift apart.
@@ -32,7 +35,6 @@ Usage::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
@@ -44,10 +46,11 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
+    Type,
 )
 
 from ..core.topology import HopEdge, PaymentGraph, PaymentTopology
-from ..errors import ScenarioError
+from ..errors import ProtocolError, ScenarioError
 from ..ledger.asset import Amount
 from ..net.adversary import (
     Adversary,
@@ -60,14 +63,12 @@ from ..net.adversary import (
     HOLD,
 )
 from ..net.message import MsgKind
+from ..protocols.base import PaymentProtocol, available_protocols, protocol_class
 from ..sim.faults import CRASH_POINTS
 
-#: Assumed message-delay bound fed to protocols that need one even when
-#: the timing model publishes none.
-ASSUMED_DELTA = 1.0
-
-#: Global-time backstop for campaign trials; generous enough for every
-#: registered (protocol, timing, adversary) cell to settle or abort.
+#: Global-time backstop for campaign trials and workload payments;
+#: generous enough for every registered (protocol, timing, adversary)
+#: cell to settle or abort.
 DEFAULT_HORIZON = 50_000.0
 
 
@@ -577,72 +578,28 @@ TOPOLOGY_KINDS: Tuple[str, ...] = tuple(
 
 # -- protocols ---------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProtocolDefaults:
-    """Campaign-wide defaults making a protocol runnable everywhere.
+def check_protocol(
+    name: str, options: Iterable[str] = ()
+) -> Type[PaymentProtocol]:
+    """The protocol class registered under ``name``, as an axis value.
 
-    ``known_options`` names every option the protocol's ``build()``
-    reads — the vocabulary CLI ``--set`` overrides are validated
-    against, so a typo'd option errors up front instead of being
-    silently ignored (yet faithfully persisted) at run time.
+    Also refuses any of ``options`` the class does not declare in its
+    ``known_options``: a typo'd option would be silently ignored at run
+    time while being persisted as if it took effect.
     """
-
-    options: Mapping[str, Any] = field(default_factory=dict)
-    horizon: float = DEFAULT_HORIZON
-    doc: str = ""
-    known_options: Tuple[str, ...] = ()
-
-
-_PATIENCE_OPTIONS = (
-    "patience_setup", "patience_decision", "patience_overrides",
-)
-
-PROTOCOLS: Dict[str, ProtocolDefaults] = {
-    "timebounded": ProtocolDefaults(
-        options={"delta": ASSUMED_DELTA, "epsilon": 0.05},
-        doc="Theorem 1 time-bounded protocol (Definition 1, χ receipts)",
-        known_options=(
-            "delta", "epsilon", "rho", "drift_tuned", "margin",
-            "processing_bound", "processing_floor", "no_timeout",
-        ),
-    ),
-    "htlc": ProtocolDefaults(
-        options={"delta": ASSUMED_DELTA},
-        doc="hash time-locked contracts (Definition 1, preimage receipts)",
-        known_options=("delta", "epsilon", "step", "give_up_margin"),
-    ),
-    "weak": ProtocolDefaults(
-        options={
-            "tm": "trusted",
-            "patience_setup": 120.0,
-            "patience_decision": 120.0,
-        },
-        doc="Theorem 3 weak protocol, trusted TM (Definition 2)",
-        known_options=("tm",) + _PATIENCE_OPTIONS,
-    ),
-    "certified": ProtocolDefaults(
-        options={"patience_setup": 500.0, "patience_decision": 500.0},
-        doc="weak protocol over a certified-blockchain log (Definition 2)",
-        known_options=_PATIENCE_OPTIONS + ("block_interval", "confirmations"),
-    ),
-}
-
-
-def protocol_defaults(name: str) -> ProtocolDefaults:
-    """Campaign defaults for the protocol registered under ``name``."""
     try:
-        return PROTOCOLS[name]
-    except KeyError:
-        raise ScenarioError(
-            f"unknown protocol {name!r}; available: {available_protocols()}"
-        ) from None
+        declared = protocol_class(name)
+        declared.check_options(options)
+    except ProtocolError as exc:
+        raise ScenarioError(str(exc)) from None
+    return declared
 
 
 def protocol_options(
     protocol: str, overrides: Mapping[str, Any]
 ) -> Dict[str, Any]:
-    """A cell's protocol options: the campaign defaults under ``overrides``."""
-    return {**dict(protocol_defaults(protocol).options), **dict(overrides)}
+    """A cell's protocol options: the sweep defaults under ``overrides``."""
+    return {**check_protocol(protocol).sweep_defaults, **dict(overrides)}
 
 
 def check_sweep_options(
@@ -654,10 +611,8 @@ def check_sweep_options(
     """The drift, horizon and ``--set`` checks every sweep spec shares.
 
     Each ``rho`` must be >= 0 and each given horizon > 0 (``None`` is
-    the protocol's default).  Each override must target a protocol on
-    the ``protocols`` axis and name one of its ``known_options``: a
-    typo'd option would be silently ignored at run time while being
-    persisted as if it took effect.
+    :data:`DEFAULT_HORIZON`).  Each override must target a protocol on
+    the ``protocols`` axis and name one of its ``known_options``.
     """
     for rho in rhos:
         if rho < 0.0:
@@ -671,13 +626,7 @@ def check_sweep_options(
                 f"override targets protocol {protocol!r}, which is not "
                 f"on the protocols axis {list(protocols)}"
             )
-        known = protocol_defaults(protocol).known_options
-        for option in options:
-            if option not in known:
-                raise ScenarioError(
-                    f"protocol {protocol!r} has no option {option!r}; "
-                    f"known options: {sorted(known)}"
-                )
+        check_protocol(protocol, options)
 
 
 # -- listings -------------------------------------------------------------------------
@@ -694,21 +643,18 @@ def available_topologies() -> List[str]:
     return list(TOPOLOGY_KINDS)
 
 
-def available_protocols() -> List[str]:
-    return sorted(PROTOCOLS)
-
-
 def axis_descriptions() -> Dict[str, Dict[str, str]]:
     """Every axis name with its one-line description.
 
     Descriptions come from the registry entries themselves (factory
-    docstrings; :attr:`ProtocolDefaults.doc`), so ``--list-axes``, the
+    and protocol class docstrings), so ``--list-axes``, the
     README/PAPER_MAP axis tables, and ``tools/check_docs.py`` all read
     the same source.
     """
     return {
         "protocols": {
-            name: protocol_defaults(name).doc for name in available_protocols()
+            name: _doc_line(protocol_class(name))
+            for name in available_protocols()
         },
         "timings": {
             # A timing added straight into TIMINGS (the pre-factory
@@ -731,28 +677,24 @@ def axis_descriptions() -> Dict[str, Dict[str, str]]:
 
 __all__ = [
     "ADVERSARIES",
-    "ASSUMED_DELTA",
     "AdversaryFactory",
     "DEFAULT_CRASH_DOWNTIME",
     "DEFAULT_CRASH_POINT",
     "DEFAULT_HORIZON",
-    "PROTOCOLS",
-    "ProtocolDefaults",
     "TIMINGS",
     "TOPOLOGY_BUILDERS",
     "TOPOLOGY_KINDS",
     "available_adversaries",
-    "available_protocols",
     "available_timings",
     "available_topologies",
     "axis_descriptions",
     "build_topology",
     "check_adversary",
+    "check_protocol",
     "check_sweep_options",
     "check_topology",
     "make_adversary",
     "parse_crash_restart",
-    "protocol_defaults",
     "protocol_options",
     "timing_descriptor",
     "topology_shape_traits",

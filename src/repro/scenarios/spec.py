@@ -19,14 +19,14 @@ from typing import (
 )
 
 from ..errors import ProtocolError, ScenarioError
-from ..protocols.base import protocol_capabilities, protocol_class
 from ..runtime import SweepSpec
 from .registry import (
+    DEFAULT_HORIZON,
     check_adversary,
+    check_protocol,
     check_sweep_options,
     check_topology,
     parse_crash_restart,
-    protocol_defaults,
     protocol_options,
     timing_descriptor,
     topology_shape_traits,
@@ -50,9 +50,9 @@ def unsupported_reason(protocol: str, topology: str) -> Optional[str]:
     those errors and their messages.
     """
     try:
-        supported = protocol_capabilities(protocol)
+        supported = check_protocol(protocol).supported_topologies
         traits = topology_shape_traits(topology)
-    except (ProtocolError, ScenarioError):
+    except ScenarioError:
         return None
     missing = sorted(traits - supported)
     if not missing:
@@ -69,8 +69,8 @@ def unsupported_adversary_reason(
     """Why ``protocol`` cannot face ``adversary``, or ``None`` if it can.
 
     The ``crash-restart`` family requires the protocol's participants to
-    recover under the cell's protocol options (campaign defaults with
-    ``overrides`` merged over them), as
+    recover under the cell's protocol options (the class's
+    ``sweep_defaults`` with ``overrides`` merged over them), as
     :meth:`~repro.protocols.base.PaymentProtocol.recovery_gap` declares —
     the adversary analogue of :func:`unsupported_reason`.  Unknown
     names return ``None``; the regular axis validation owns those
@@ -79,7 +79,7 @@ def unsupported_adversary_reason(
     try:
         if parse_crash_restart(adversary) is None:
             return None
-        gap = protocol_class(protocol).recovery_gap(
+        gap = check_protocol(protocol).recovery_gap(
             protocol_options(protocol, overrides or {})
         )
     except (ProtocolError, ScenarioError):
@@ -109,10 +109,11 @@ class ScenarioSpec:
     rho:
         Clock-drift bound sampled for every participant.
     horizon:
-        Global-time backstop; ``None`` uses the protocol's campaign
-        default.
+        Global-time backstop; ``None`` uses
+        :data:`~repro.scenarios.registry.DEFAULT_HORIZON`.
     protocol_options:
-        Extra protocol options merged *over* the campaign defaults.
+        Extra protocol options merged *over* the protocol class's
+        ``sweep_defaults``.
     """
 
     protocol: str
@@ -120,7 +121,7 @@ class ScenarioSpec:
     adversary: str = "none"
     topology: str = "linear-3"
     rho: float = 0.0
-    horizon: Optional[float] = None  # None = the protocol's campaign default
+    horizon: Optional[float] = None  # None = DEFAULT_HORIZON
     protocol_options: Mapping[str, Any] = field(default_factory=dict)
 
     @property
@@ -134,11 +135,13 @@ class ScenarioSpec:
         Name checks only — no live objects are built, so validating a
         whole campaign stays O(cells) whatever the topology sizes.
         """
-        protocol_defaults(self.protocol)
+        check_sweep_options(
+            (self.protocol,), (self.rho,), (self.horizon,),
+            {self.protocol: self.protocol_options},
+        )
         timing_descriptor(self.timing)
         check_adversary(self.adversary)
         check_topology(self.topology)
-        check_sweep_options((self.protocol,), (self.rho,), (self.horizon,), {})
         return self
 
     def coords(self) -> Tuple[str, str, str, str]:
@@ -147,7 +150,6 @@ class ScenarioSpec:
 
     def options(self) -> Dict[str, Any]:
         """The primitive option payload for the shared trial function."""
-        defaults = protocol_defaults(self.protocol)
         return {
             "protocol": self.protocol,
             "timing_name": self.timing,
@@ -155,7 +157,7 @@ class ScenarioSpec:
             "adversary": self.adversary,
             "topology": self.topology,
             "rho": self.rho,
-            "horizon": self.horizon if self.horizon is not None else defaults.horizon,
+            "horizon": self.horizon if self.horizon is not None else DEFAULT_HORIZON,
             "protocol_options": protocol_options(
                 self.protocol, self.protocol_options
             ),
@@ -181,8 +183,8 @@ class CampaignSpec:
 
     ``overrides`` carries per-protocol option overrides (the CLI's
     ``--set weak.patience_setup=30``): ``{protocol: {option: value}}``,
-    merged over the protocol's campaign defaults for every cell of
-    that protocol.  Overrides land in each trial's persisted options,
+    merged over the protocol class's ``sweep_defaults`` for every cell
+    of that protocol.  Overrides land in each trial's persisted options,
     so ``--resume``'s option-mismatch check covers them.
 
     Protocol × topology combinations the protocol declares itself

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Dict, Optional, Tuple
 
 from ..net.adversary import CrashRestartAdversary
+from ..protocols.base import protocol_class
 from ..runtime.spec import TrialSpec
 from ..sim.faults import FaultInjector
 from ..verification import properties
@@ -196,7 +197,7 @@ def refused_payment_values(topology: Any, protocol: str) -> Dict[str, Any]:
         "events": 0,
         "leaves": topology.leaves,
         "depth": topology.depth,
-        "definition": properties.definition_profile(protocol).definition,
+        "definition": protocol_class(protocol).definition,
         "def1_ok": None,
         "def2_ok": None,
         "violated_properties": [],

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, Optional, Sequence, Tuple
 
-from ..errors import SimulationError
 from .decision_log import CHECKPOINT, DECISION, SENT, DecisionLog
 from .events import Event, EventPriority
 from .kernel import Simulator

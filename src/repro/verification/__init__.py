@@ -10,22 +10,16 @@ from .explorer import (
     explore_payment,
 )
 from .properties import (
-    DEFINITION_PROFILES,
-    DefinitionProfile,
     check_outcome,
-    definition_profile,
     patience_is_sufficient,
     property_columns,
 )
 
 __all__ = [
     "DEFAULT_DECISION_KINDS",
-    "DEFINITION_PROFILES",
-    "DefinitionProfile",
     "ExplorationReport",
     "ScriptedDelayAdversary",
     "check_outcome",
-    "definition_profile",
     "explore",
     "explore_payment",
     "patience_is_sufficient",

@@ -11,14 +11,16 @@ verdict, and :func:`check_outcome` is its one entry point, used by
 * E8's :func:`~repro.verification.explorer.explore` check, which lists
   its violations.
 
-Which definition applies is a property of the protocol
-(:data:`DEFINITION_PROFILES`): the time-bounded and HTLC protocols
-promise Definition 1 (time-bounded payment), the weak and certified
-protocols promise Definition 2 (guaranteed termination with commit /
-abort certificates).  The profile also records which certificate kind
-discharges Alice's security clause CS1 — the paper's χ for the
-time-bounded protocol, the revealed preimage for HTLC, the commit
-certificate χc for Definition 2 protocols.
+Which definition applies is declared by the protocol class
+(:attr:`~repro.protocols.base.PaymentProtocol.definition`): the
+time-bounded and HTLC protocols promise Definition 1 (time-bounded
+payment), the weak and certified protocols promise Definition 2
+(guaranteed termination with commit / abort certificates).  The class
+also declares which certificate kinds discharge Alice's security
+clause CS1
+(:attr:`~repro.protocols.base.PaymentProtocol.receipt_kinds`) — the
+paper's χ for the time-bounded protocol, the revealed preimage for
+HTLC, the commit certificate χc for Definition 2 protocols.
 
 Definition 2's weak-liveness clause is a *conditional* guarantee: it
 binds only when the customers' patience exceeded the network's actual
@@ -30,54 +32,16 @@ the verdict is deterministic and needs no trace inspection.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import inf
-from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence
 
-from ..errors import VerificationError
 from ..properties import CheckReport, check_definition1, check_definition2
+from ..protocols.base import protocol_class
 
 #: Decision round-trips a patient customer must be able to wait out on
 #: top of the network's settling point (GST): "patient enough" means
 #: ``patience > GST + 10 Δ``.
 PATIENCE_ROUND_TRIPS = 10.0
-
-
-@dataclass(frozen=True)
-class DefinitionProfile:
-    """Which definition a protocol promises, and with what evidence.
-
-    Attributes
-    ----------
-    definition:
-        1 (time-bounded cross-chain payment) or 2 (weak guarantees).
-    alice_cert_kinds:
-        Certificate kinds that satisfy CS1 for this protocol — what an
-        unrefunded Alice must hold on termination.
-    """
-
-    definition: int
-    alice_cert_kinds: Tuple[str, ...]
-
-
-#: protocol registry name -> the definition it is checked against.
-DEFINITION_PROFILES: Dict[str, DefinitionProfile] = {
-    "timebounded": DefinitionProfile(1, ("chi",)),
-    "htlc": DefinitionProfile(1, ("preimage",)),
-    "weak": DefinitionProfile(2, ("commit",)),
-    "certified": DefinitionProfile(2, ("commit",)),
-}
-
-
-def definition_profile(protocol: str) -> DefinitionProfile:
-    """The checking profile for a protocol registry name."""
-    try:
-        return DEFINITION_PROFILES[protocol]
-    except KeyError:
-        raise VerificationError(
-            f"no definition profile for protocol {protocol!r}; "
-            f"known: {sorted(DEFINITION_PROFILES)}"
-        ) from None
 
 
 def patience_is_sufficient(
@@ -130,24 +94,25 @@ def check_outcome(
 ) -> CheckReport:
     """Check the outcome against *its protocol's* definition.
 
-    Dispatches on :func:`definition_profile`: Definition 1 protocols
-    get :func:`~repro.properties.check_definition1` with the profile's
-    CS1 certificate kinds (and the optional a-priori
+    Dispatches on the protocol class's declared ``definition``:
+    Definition 1 protocols get
+    :func:`~repro.properties.check_definition1` with the class's CS1
+    ``receipt_kinds`` (and the optional a-priori
     ``termination_bound``); Definition 2 protocols get
     :func:`~repro.properties.check_definition2` with the patience
     precondition derived from ``timing`` and ``protocol_options``.
     """
-    profile = definition_profile(protocol)
-    if profile.definition == 1:
+    declared = protocol_class(protocol)
+    if declared.definition == 1:
         return check_definition1(
             outcome,
             termination_bound=termination_bound,
-            cert_kinds=profile.alice_cert_kinds,
+            cert_kinds=declared.receipt_kinds,
         )
     return check_definition2(
         outcome,
         patient=patience_is_sufficient(timing, protocol_options),
-        cert_kinds=profile.alice_cert_kinds,
+        cert_kinds=declared.receipt_kinds,
     )
 
 
@@ -164,15 +129,15 @@ def property_columns(
     "checked and failed" from "not this protocol's contract"), and
     ``violated_properties`` (sorted property ids, empty when clean).
     """
-    profile = definition_profile(protocol)
+    definition = protocol_class(protocol).definition
     report = check_outcome(
         outcome, protocol, timing=timing, protocol_options=protocol_options
     )
     ok = report.all_ok
     return {
-        "definition": profile.definition,
-        "def1_ok": ok if profile.definition == 1 else None,
-        "def2_ok": ok if profile.definition == 2 else None,
+        "definition": definition,
+        "def1_ok": ok if definition == 1 else None,
+        "def2_ok": ok if definition == 2 else None,
         "violated_properties": sorted(
             v.property_id.value for v in report.violations()
         ),
@@ -180,11 +145,8 @@ def property_columns(
 
 
 __all__ = [
-    "DEFINITION_PROFILES",
-    "DefinitionProfile",
     "PATIENCE_ROUND_TRIPS",
     "check_outcome",
-    "definition_profile",
     "patience_is_sufficient",
     "property_columns",
 ]

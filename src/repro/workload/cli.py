@@ -52,6 +52,7 @@ from ..runtime.frontend import (
     long_flags,
     report,
 )
+from ..scenarios.registry import DEFAULT_HORIZON
 from .spec import (
     DEFAULT_COUNT,
     DEFAULT_LIQUIDITY,
@@ -204,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=None,
         metavar="H",
-        help="per-payment deadline span (default: protocol campaign default)",
+        help=f"per-payment deadline span (default: {DEFAULT_HORIZON:,.0f})",
     )
     parser.add_argument(
         "--rho", type=float, default=0.0, metavar="R",

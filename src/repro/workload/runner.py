@@ -103,12 +103,15 @@ def run_workload_cell(
     """Run ``count`` payments at offered load ``load`` on one kernel.
 
     ``timing`` accepts a registry name or a primitive descriptor;
-    ``protocol_options`` overrides are merged over the protocol's
-    campaign defaults; ``horizon`` is the *per-payment* deadline span
-    (protocol default when ``None``).  ``audit="every-op"`` re-checks
-    every payment ledger's conservation audit and the substrate's
-    global conservation after *every* mutating ledger operation — the
-    invariant-harness mode; it changes no behavior, only verifies.
+    ``protocol_options`` reach every session as given (a
+    :class:`~repro.workload.spec.WorkloadSpec` cell carries the
+    protocol class's ``sweep_defaults`` with its overrides merged over
+    them); ``horizon`` is the *per-payment* deadline span
+    (:data:`~repro.scenarios.registry.DEFAULT_HORIZON` when ``None``).
+    ``audit="every-op"`` re-checks every payment ledger's conservation
+    audit and the substrate's global conservation after *every*
+    mutating ledger operation — the invariant-harness mode; it changes
+    no behavior, only verifies.
 
     Returns the cell summary with the per-payment value dicts under
     ``"payments"`` (arrival order — payment ``k``'s record is entry
@@ -116,8 +119,8 @@ def run_workload_cell(
     """
     from ..core.session import PaymentSession, SessionArena
     from ..scenarios.registry import (
+        DEFAULT_HORIZON,
         make_adversary,
-        protocol_defaults,
         timing_descriptor,
     )
     from ..scenarios.trial import (
@@ -133,11 +136,9 @@ def run_workload_cell(
         raise WorkloadError(f"payment count must be >= 1, got {count}")
     descriptor = timing_descriptor(timing) if isinstance(timing, str) else timing
     timing_model = _timing_for(descriptor)
-    defaults = protocol_defaults(protocol)
     if horizon is None:
-        horizon = defaults.horizon
-    merged_options = dict(defaults.options)
-    merged_options.update(protocol_options or {})
+        horizon = DEFAULT_HORIZON
+    protocol_options = protocol_options or {}
     trace_kinds = None if trace_level == "full" else CHECKER_KINDS
 
     # Cell-level randomness: arrivals and topology sampling draw from
@@ -205,7 +206,7 @@ def run_workload_cell(
             entry.topology,
             protocol=protocol,
             timing=descriptor,
-            protocol_options=merged_options,
+            protocol_options=protocol_options,
             latency=end_time - entry.arrival,
             events=events,
             faults=entry.faults,
@@ -275,7 +276,7 @@ def run_workload_cell(
             seed=payment_seed,
             rho=rho,
             horizon=horizon,
-            protocol_options=dict(merged_options),
+            protocol_options=protocol_options,
             trace_kinds=trace_kinds,
             sim=view,
             funding=fund,
@@ -346,7 +347,7 @@ def workload_cell(spec: TrialSpec) -> Dict[str, Any]:
         liquidity=spec.opt("liquidity"),
         horizon=spec.opt("horizon"),
         rho=spec.opt("rho", 0.0),
-        protocol_options=dict(spec.opt("protocol_options") or {}),
+        protocol_options=spec.opt("protocol_options"),
         seed=spec.seed,
         trace_level=spec.opt("trace_level", None),
         audit=spec.opt("audit", None),

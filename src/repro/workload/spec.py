@@ -151,9 +151,9 @@ class WorkloadSpec:
 
     def validate(self) -> None:
         from ..scenarios.registry import (
-            PROTOCOLS,
             TIMINGS,
             check_adversary,
+            check_protocol,
             check_sweep_options,
             check_topology,
         )
@@ -161,12 +161,6 @@ class WorkloadSpec:
 
         if not self.protocols:
             raise WorkloadError("workload needs at least one protocol")
-        for protocol in self.protocols:
-            if protocol not in PROTOCOLS:
-                raise WorkloadError(
-                    f"unknown protocol {protocol!r}; "
-                    f"available: {', '.join(PROTOCOLS)}"
-                )
         if not self.loads:
             raise WorkloadError("workload needs at least one offered load")
         for load in self.loads:
@@ -179,6 +173,8 @@ class WorkloadSpec:
                 f"unknown timing {self.timing!r}; available: {', '.join(TIMINGS)}"
             )
         try:
+            for protocol in self.protocols:
+                check_protocol(protocol)
             # Accepts registry names and pattern families alike, so a
             # workload can sweep ``crash-restart-<point>-d<D>`` cells.
             check_adversary(self.adversary)
@@ -210,12 +206,11 @@ class WorkloadSpec:
     def cell_options(self, protocol: str) -> Dict[str, Any]:
         """The option payload one (protocol, load) cell carries."""
         from ..scenarios.registry import (
-            protocol_defaults,
+            DEFAULT_HORIZON,
             protocol_options,
             timing_descriptor,
         )
 
-        defaults = protocol_defaults(protocol)
         options: Dict[str, Any] = {
             "protocol": protocol,
             "timing_name": self.timing,
@@ -225,7 +220,7 @@ class WorkloadSpec:
             "count": self.count,
             "arrivals": self.arrivals,
             "liquidity": self.liquidity,
-            "horizon": self.horizon if self.horizon is not None else defaults.horizon,
+            "horizon": self.horizon if self.horizon is not None else DEFAULT_HORIZON,
             "rho": self.rho,
             "protocol_options": protocol_options(
                 protocol, self.overrides.get(protocol, {})

@@ -21,11 +21,12 @@ from typing import Any, Dict, List
 
 from repro.core.session import PaymentSession, SessionArena
 from repro.experiments.harness import build_timing
+from repro.protocols.base import protocol_class
 from repro.runtime.spec import TrialSpec
 from repro.scenarios import trial as trial_module
 from repro.scenarios.registry import (
+    DEFAULT_HORIZON,
     build_topology,
-    protocol_defaults,
     timing_descriptor,
 )
 from repro.scenarios.trial import scenario_trial
@@ -35,7 +36,6 @@ TOPOLOGIES = ("linear-3", "tree-2", "fan-in-3")
 
 
 def _spec(protocol: str, topology: str, adversary: str = "none", seed: int = 97):
-    defaults = protocol_defaults(protocol)
     return TrialSpec(
         fn="repro.scenarios.trial:scenario_trial",
         coords=(protocol, topology, adversary),
@@ -45,9 +45,9 @@ def _spec(protocol: str, topology: str, adversary: str = "none", seed: int = 97)
             "topology": topology,
             "timing": timing_descriptor("sync"),
             "adversary": adversary,
-            "horizon": defaults.horizon,
+            "horizon": DEFAULT_HORIZON,
             "rho": 0.0,
-            "protocol_options": dict(defaults.options),
+            "protocol_options": dict(protocol_class(protocol).sweep_defaults),
         },
     )
 
@@ -128,15 +128,14 @@ def _normalized_trace(session: PaymentSession) -> List[Dict[str, Any]]:
 
 def _session(topology_name: str, protocol: str, arena=None) -> PaymentSession:
     topology = build_topology(topology_name, payment_id=f"arena-{topology_name}")
-    defaults = protocol_defaults(protocol)
     session = PaymentSession(
         topology,
         protocol,
         build_timing(timing_descriptor("sync")),
         seed=23,
         rho=0.01,
-        horizon=defaults.horizon,
-        protocol_options=dict(defaults.options),
+        horizon=DEFAULT_HORIZON,
+        protocol_options=dict(protocol_class(protocol).sweep_defaults),
         arena=arena,
     )
     session.run()

@@ -260,7 +260,8 @@ def test_one_payment_workload_equals_campaign_trial():
     guarantee verdicts — modulo the two workload-only columns.
     """
     from repro.runtime.spec import TrialSpec, derive_seed
-    from repro.scenarios.registry import protocol_defaults
+    from repro.protocols.base import protocol_class
+    from repro.scenarios.registry import DEFAULT_HORIZON
     from repro.scenarios.trial import scenario_trial
     from repro.workload import WorkloadSpec
     from repro.workload.runner import workload_cell
@@ -272,7 +273,6 @@ def test_one_payment_workload_equals_campaign_trial():
         workload_values = dict(workload_cell(cell)["payments"][0])
         assert workload_values.pop("arrival_time") == 0.0
         assert workload_values.pop("liquidity_failed") is False
-        defaults = protocol_defaults(protocol)
         solo = scenario_trial(
             TrialSpec(
                 fn="repro.scenarios.trial:scenario_trial",
@@ -283,9 +283,11 @@ def test_one_payment_workload_equals_campaign_trial():
                     "topology": "linear-3",
                     "timing": timing_descriptor("sync"),
                     "adversary": "none",
-                    "horizon": defaults.horizon,
+                    "horizon": DEFAULT_HORIZON,
                     "rho": 0.0,
-                    "protocol_options": dict(defaults.options),
+                    "protocol_options": dict(
+                        protocol_class(protocol).sweep_defaults
+                    ),
                 },
             )
         )

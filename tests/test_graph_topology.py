@@ -261,16 +261,17 @@ class TestGraphCampaignAxes:
 
     def test_unsupported_cells_skip_with_reason(self):
         from repro.protocols.base import PaymentProtocol, _REGISTRY, register_protocol
-        from repro.scenarios.registry import PROTOCOLS, ProtocolDefaults
 
         @register_protocol
         class _PathOnly(PaymentProtocol):
+            """path-only dummy"""
+
             name = "pathonly-test"
+            definition = 1
 
             def build(self):
                 raise AssertionError("skipped cells must never build")
 
-        PROTOCOLS["pathonly-test"] = ProtocolDefaults(doc="path-only dummy")
         try:
             spec = CampaignSpec(
                 protocols=["pathonly-test", "weak"], timings=["sync"],
@@ -297,7 +298,6 @@ class TestGraphCampaignAxes:
                 ).compile()
         finally:
             del _REGISTRY["pathonly-test"]
-            del PROTOCOLS["pathonly-test"]
 
     def test_decision_holder_targets_graph_sinks(self):
         g = _hub(2)

@@ -14,7 +14,6 @@ from repro.scenarios import (
     available_timings,
     build_topology,
     make_adversary,
-    protocol_defaults,
     run_campaign,
     timing_descriptor,
 )
@@ -93,26 +92,40 @@ class TestRegistry:
         )
         assert not patience_is_sufficient(("asynchronous", {}), options)
 
-    def test_every_protocol_has_a_definition_profile(self):
-        """A protocol registered without a checking profile would pass
+    def test_register_protocol_refuses_a_class_without_a_definition(self):
+        """A protocol registered without a definition would pass
         validation and then fail inside every campaign trial."""
-        from repro.verification.properties import DEFINITION_PROFILES
+        from repro.errors import ProtocolError
+        from repro.protocols.base import (
+            PaymentProtocol, _REGISTRY, register_protocol,
+        )
 
-        assert set(DEFINITION_PROFILES) == set(available_protocols())
+        class _Undeclared(PaymentProtocol):
+            """undeclared dummy"""
+
+            name = "undeclared-test"
+
+            def build(self):
+                pass
+
+        with pytest.raises(ProtocolError, match="must declare the definition"):
+            register_protocol(_Undeclared)
+        assert "undeclared-test" not in _REGISTRY
 
     def test_definition_profile_cert_kinds_reach_cs1(self):
-        """The profile's alice_cert_kinds must actually drive CS1 for
-        both definitions — not just the Definition 1 branch."""
+        """The class's receipt_kinds must actually drive CS1 for both
+        definitions — not just the Definition 1 branch."""
         from repro.core.problem import PropertyId
         from repro.core.session import PaymentSession
         from repro.net.timing import Synchronous
         from repro.properties import Status, check_definition2
+        from repro.protocols.base import protocol_class
 
         outcome = PaymentSession(
             build_topology("linear-2"),
             "weak",
             Synchronous(1.0),
-            protocol_options=dict(protocol_defaults("weak").options),
+            protocol_options=dict(protocol_class("weak").sweep_defaults),
         ).run()
         assert outcome.bob_paid  # committed run: Alice paid, holds χc
         default = check_definition2(outcome)
@@ -137,7 +150,7 @@ class TestRegistry:
         with pytest.raises(ScenarioError):
             make_adversary("mallory")
         with pytest.raises(ScenarioError):
-            protocol_defaults("lightning")
+            ScenarioSpec(protocol="lightning", timing="sync").validate()
         with pytest.raises(ScenarioError):
             build_topology("ring-3")
         with pytest.raises(ScenarioError):
@@ -464,10 +477,21 @@ class TestSweepFrontEnd:
                 "['block_interval', 'confirmations', 'patience_decision', "
                 "'patience_overrides', 'patience_setup']",
             ),
+            (
+                ["--protocols", "weak", "--set", "weak.detla=2"],
+                "protocol 'weak' has no option 'detla'; known options: "
+                "['patience_decision', 'patience_overrides', "
+                "'patience_setup', 'tm']",
+            ),
+            (
+                ["--protocols", "lightning"],
+                "unknown protocol 'lightning'; available: "
+                "['certified', 'htlc', 'timebounded', 'weak']",
+            ),
         ],
         ids=[
             "negative-rho", "negative-horizon", "set-target", "set-option",
-            "certified-has-no-tm",
+            "certified-has-no-tm", "weak-set-option", "unknown-protocol",
         ],
     )
     def test_spec_options_validate_identically(

@@ -23,6 +23,63 @@ class TestRegistry:
         with pytest.raises(ProtocolError):
             session.run()
 
+    def test_undeclared_session_option_is_refused(self):
+        """A misspelt option fails the session instead of running as if
+        it were never given."""
+        session = PaymentSession(
+            PaymentTopology.linear(2), "weak", Synchronous(1.0),
+            protocol_options={"patience": 5.0},
+        )
+        with pytest.raises(ProtocolError, match="has no option 'patience'"):
+            session.run()
+
+    def test_undeclared_option_read_is_refused(self):
+        from repro.protocols.timebounded import TimeBoundedProtocol
+
+        class Sloppy(TimeBoundedProtocol):
+            def build(self):
+                self.option("undeclared")
+
+        session = PaymentSession(
+            PaymentTopology.linear(1), Sloppy, Synchronous(1.0)
+        )
+        with pytest.raises(ProtocolError, match="has no option 'undeclared'"):
+            session.run()
+
+    def test_constructor_checks_the_topology(self):
+        from repro.protocols.base import PaymentProtocol
+        from repro.scenarios.registry import build_topology
+
+        class PathOnly(PaymentProtocol):
+            name = "pathonly-test"
+
+            def build(self):
+                raise AssertionError("an unsupported topology must fail first")
+
+        session = PaymentSession(
+            build_topology("hub-2"), PathOnly, Synchronous(1.0)
+        )
+        with pytest.raises(ProtocolError, match="does not support this topology"):
+            session.run()
+
+    def test_sweep_defaults_are_declared_options(self):
+        from repro.protocols.base import (
+            PaymentProtocol, _REGISTRY, register_protocol,
+        )
+
+        class Stale(PaymentProtocol):
+            name = "stale-test"
+            definition = 2
+            known_options = frozenset({"patience_setup"})
+            sweep_defaults = {"patience": 5.0}
+
+            def build(self):
+                pass
+
+        with pytest.raises(ProtocolError, match="has no option 'patience'"):
+            register_protocol(Stale)
+        assert "stale-test" not in _REGISTRY
+
     def test_factory_callable_accepted(self):
         from repro.protocols.timebounded import TimeBoundedProtocol
 

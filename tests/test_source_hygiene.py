@@ -1,0 +1,73 @@
+"""Source-level conventions of the ``repro`` package, checked with ``ast``."""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import repro
+
+PACKAGE = Path(repro.__file__).resolve().parent
+
+
+def _unused_imports(source: str):
+    """Names a module imports at module level but never references.
+
+    Names listed in ``__all__`` count as referenced (re-exports).
+    """
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__"
+            for target in node.targets
+        ):
+            used |= {
+                item.value
+                for item in ast.walk(node.value)
+                if isinstance(item, ast.Constant)
+            }
+    return sorted(
+        (line, name) for name, line in imported.items() if name not in used
+    )
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "__init__.py":
+            continue  # package namespaces re-export what they import
+        for line, name in _unused_imports(path.read_text(encoding="utf-8")):
+            found.append(f"{path.relative_to(PACKAGE)}:{line}: {name}")
+    assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def test_the_unused_import_scan_sees_every_import_form():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as codec\n"
+        "from typing import Any, Dict\n"
+        "from .names import exported\n"
+        "x: Dict = {}\n"
+        "__all__ = ['exported']\n"
+    )
+    assert _unused_imports(source) == [(2, "os"), (3, "codec"), (4, "Any")]
+
+
+def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
+    """Only ``python -m repro`` runs the CLI; an import (a package
+    walk, a doc generator) must not run the experiments or exit."""
+    monkeypatch.setattr(sys, "argv", ["probe", "--list"])
+    monkeypatch.delitem(sys.modules, "repro.__main__", raising=False)
+    importlib.import_module("repro.__main__")
+    assert capsys.readouterr().out == ""

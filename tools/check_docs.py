@@ -69,8 +69,6 @@ def _repro_classes() -> Dict[str, List[type]]:
 
     classes: Dict[str, List[type]] = {}
     for info in pkgutil.walk_packages(repro.__path__, "repro."):
-        if info.name.endswith(".__main__"):  # runs the CLI on import
-            continue
         for value in vars(importlib.import_module(info.name)).values():
             if isinstance(value, type) and value.__module__ == info.name:
                 classes.setdefault(value.__name__, []).append(value)
@@ -127,7 +125,7 @@ def find_gaps(root: Path = ROOT) -> List[str]:
             if not doc:
                 problems.append(
                     f"registry: {axis} entry {name!r} has no description "
-                    "(docstring/doc field)"
+                    "(first docstring line)"
                 )
             for rel, text in texts.items():
                 # Axis names must appear backticked, as registry names,
