@@ -43,7 +43,9 @@ from ..runtime.persist import (
     flat_cell,
     iter_records,
     read_manifest,
-    scan_records,
+    scan_manifest,
+    stream_records,
+    sweep_id_of,
 )
 
 #: Columns the store itself owns: the CSV writer's reserved names
@@ -290,21 +292,24 @@ class RecordStore:
         only the columns ever hold the whole directory, never the row
         objects.  ``partial=True`` instead salvages whatever complete
         records ``records.jsonl`` holds, manifest or not — the
-        read-only lens on an interrupted campaign.  ``columns``
+        read-only lens on an interrupted campaign — streaming them one
+        line at a time through
+        :func:`~repro.runtime.persist.stream_records`.  ``columns``
         projects the store (see :meth:`from_records`): it saves the
         transposition and the memory of the other columns, not the
         parse — every ``records.jsonl`` line is still decoded in full.
         """
         in_dir = Path(in_dir)
         if partial:
-            scan = scan_records(in_dir)
-            if not scan.records:
+            records = (record for record, _ in stream_records(in_dir))
+            first = next(records, None)
+            if first is None:
                 raise PersistenceError(
                     f"{in_dir} holds no loadable records"
                 )
             return cls.from_records(
-                scan.records,
-                sweep_id=scan.sweep_id,
+                chain([first], records),
+                sweep_id=sweep_id_of(scan_manifest(in_dir)),
                 source=str(in_dir),
                 columns=columns,
             )
@@ -314,7 +319,7 @@ class RecordStore:
         )
         return cls.from_records(
             stream,
-            sweep_id=manifest.get("sweep_id", "sweep"),
+            sweep_id=sweep_id_of(manifest),
             source=str(in_dir),
             columns=columns,
         )

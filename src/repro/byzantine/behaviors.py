@@ -31,7 +31,6 @@ from ..anta.transitions import (
     StateSpec,
 )
 from ..crypto.certificates import PaymentCertificate
-from ..crypto.signatures import sign
 from ..errors import ProtocolError
 from ..net.message import MsgKind
 
@@ -180,10 +179,7 @@ def forge_certificate(spec: AutomatonSpec, ctx: Dict[str, Any]) -> AutomatonSpec
         raise ProtocolError("forge_certificate needs upstream_escrow and identity in ctx")
 
     def emit_forged(automaton: Any):
-        body = {"type": "chi", "payment_id": payment_id, "issuer": bob}
-        fake = PaymentCertificate(
-            payment_id=payment_id, issuer=bob, signature=sign(identity, body)
-        )
+        fake = PaymentCertificate.signed_by(identity, payment_id=payment_id, issuer=bob)
         return [SendSpec(upstream, MsgKind.CERTIFICATE, fake)], "crashed"
 
     _ensure_crashed_state(spec)

@@ -163,7 +163,9 @@ class Notary(Process):
             # to abuse; only quorum arithmetic can contain the damage).
             for v in (Decision.COMMIT, Decision.ABORT):
                 if not self.vars_voted(v):
-                    vote = Vote.cast(self.identity, self.payment_id, v)
+                    vote = Vote.issue(
+                        self.identity, payment_id=self.payment_id, decision=v
+                    )
                     self._decides[v][self.name] = vote
                     decide = ConsensusMsg(
                         phase=Phase.DECIDE,
@@ -396,7 +398,9 @@ class Notary(Process):
         self.locked_round = rnd
         if already_voted:
             return
-        vote = Vote.cast(self.identity, self.payment_id, value)
+        vote = Vote.issue(
+            self.identity, payment_id=self.payment_id, decision=value
+        )
         self._decides[value][self.name] = vote
         decide = ConsensusMsg(
             phase=Phase.DECIDE,

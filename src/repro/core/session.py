@@ -48,6 +48,12 @@ from .topology import PaymentGraph
 #: draws the grants from a shared liquidity substrate.
 FundingHook = Callable[[PaymentGraph, Dict[str, Ledger]], None]
 
+#: Global-time backstop for a run that never settles, whatever the entry
+#: point (a session, an experiment, a campaign cell or a workload
+#: payment); generous enough for every registered (protocol, timing,
+#: adversary) cell to settle or abort.
+DEFAULT_HORIZON = 50_000.0
+
 
 @dataclass
 class PaymentEnv:
@@ -142,7 +148,7 @@ class PaymentSession:
         Map participant name -> behaviour spec (interpreted by the
         protocol together with :mod:`repro.byzantine`).
     horizon:
-        Global-time backstop; ``None`` uses ``default_horizon``.
+        Global-time backstop; ``None`` uses :data:`DEFAULT_HORIZON`.
     protocol_options:
         Extra keyword configuration passed to the protocol via
         ``env.config["options"]`` (timeout calculus, TM choice,
@@ -179,8 +185,6 @@ class PaymentSession:
         arena's first session (the view is then kept in the arena).
     """
 
-    DEFAULT_HORIZON = 1_000_000.0
-
     def __init__(
         self,
         topology: PaymentGraph,
@@ -209,7 +213,7 @@ class PaymentSession:
         self.max_skew = max_skew
         self.clock_overrides = dict(clocks or {})
         self.byzantine = dict(byzantine or {})
-        self.horizon = horizon if horizon is not None else self.DEFAULT_HORIZON
+        self.horizon = horizon if horizon is not None else DEFAULT_HORIZON
         self.protocol_options = dict(protocol_options or {})
         self.trace_kinds = frozenset(trace_kinds) if trace_kinds is not None else None
         self.sim_override = sim

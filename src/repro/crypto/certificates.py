@@ -11,19 +11,23 @@ The paper's protocols revolve around three certificate families:
   distinct valid notary signatures, the committee realisation of the
   transaction manager.
 
-All certificates are signed over canonical encodings; holders can be
-handed around freely and verified by anyone with the key ring.
+χ, χc/χa and each notary :class:`Vote` are
+:class:`~repro.crypto.signatures.Signed` statements: a class declares
+only its fields, and the base issues and verifies them.  A quorum
+certificate carries no signature of its own; it is valid when enough
+of its votes are.  Holders can hand certificates around freely, and
+anyone with the key ring can verify them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Dict, List, Optional, Sequence
+from typing import List, Sequence
 
 from ..errors import CryptoError
-from .keys import Identity, KeyRing
-from .signatures import Signature, sign, verify
+from .keys import KeyRing
+from .signatures import Signed
 
 
 class Decision(str, Enum):
@@ -34,7 +38,7 @@ class Decision(str, Enum):
 
 
 @dataclass(frozen=True)
-class PaymentCertificate:
+class PaymentCertificate(Signed):
     """χ — Bob's signed statement that his payment obligation is met.
 
     Attributes
@@ -43,83 +47,25 @@ class PaymentCertificate:
         Identifier of the payment session this certificate belongs to.
     issuer:
         Name of the signer (Bob in honest runs).
-    signature:
-        Signature over ``(payment_id, issuer)``.
     """
+
+    KIND = "chi"
+    SIGNER = "issuer"
 
     payment_id: str
     issuer: str
-    signature: Signature
-
-    def signing_fields(self) -> Dict[str, Any]:
-        return {"type": "chi", "payment_id": self.payment_id, "issuer": self.issuer}
-
-    @classmethod
-    def issue(cls, identity: Identity, payment_id: str) -> "PaymentCertificate":
-        """Create χ signed by ``identity``."""
-        body = {"type": "chi", "payment_id": payment_id, "issuer": identity.name}
-        return cls(
-            payment_id=payment_id,
-            issuer=identity.name,
-            signature=sign(identity, body),
-        )
-
-    def valid(self, keyring: KeyRing, expected_issuer: Optional[str] = None) -> bool:
-        """Verify the signature (and, optionally, the issuer's name).
-
-        The signature's signer must equal the claimed issuer — without
-        this check a Byzantine party could sign, with *her own* key, a
-        body claiming Bob issued it, and the tag would still verify.
-        """
-        if expected_issuer is not None and self.issuer != expected_issuer:
-            return False
-        if self.signature.signer != self.issuer:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
 
 
 @dataclass(frozen=True)
-class DecisionCertificate:
+class DecisionCertificate(Signed):
     """χc / χa — a single-signer transaction-manager decision."""
+
+    KIND = "decision"
+    SIGNER = "issuer"
 
     payment_id: str
     decision: Decision
     issuer: str
-    signature: Signature
-
-    def signing_fields(self) -> Dict[str, Any]:
-        return {
-            "type": "decision",
-            "payment_id": self.payment_id,
-            "decision": self.decision.value,
-            "issuer": self.issuer,
-        }
-
-    @classmethod
-    def issue(
-        cls, identity: Identity, payment_id: str, decision: Decision
-    ) -> "DecisionCertificate":
-        """Create a decision certificate signed by ``identity``."""
-        body = {
-            "type": "decision",
-            "payment_id": payment_id,
-            "decision": decision.value,
-            "issuer": identity.name,
-        }
-        return cls(
-            payment_id=payment_id,
-            decision=decision,
-            issuer=identity.name,
-            signature=sign(identity, body),
-        )
-
-    def valid(self, keyring: KeyRing, expected_issuer: Optional[str] = None) -> bool:
-        """Verify the signature (and, optionally, the issuer's name)."""
-        if expected_issuer is not None and self.issuer != expected_issuer:
-            return False
-        if self.signature.signer != self.issuer:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
 
     @property
     def is_commit(self) -> bool:
@@ -127,42 +73,15 @@ class DecisionCertificate:
 
 
 @dataclass(frozen=True)
-class Vote:
+class Vote(Signed):
     """One notary's signed vote for a decision."""
+
+    KIND = "vote"
+    SIGNER = "notary"
 
     payment_id: str
     decision: Decision
     notary: str
-    signature: Signature
-
-    def signing_fields(self) -> Dict[str, Any]:
-        return {
-            "type": "vote",
-            "payment_id": self.payment_id,
-            "decision": self.decision.value,
-            "notary": self.notary,
-        }
-
-    @classmethod
-    def cast(cls, identity: Identity, payment_id: str, decision: Decision) -> "Vote":
-        """Create a vote signed by the notary ``identity``."""
-        body = {
-            "type": "vote",
-            "payment_id": payment_id,
-            "decision": decision.value,
-            "notary": identity.name,
-        }
-        return cls(
-            payment_id=payment_id,
-            decision=decision,
-            notary=identity.name,
-            signature=sign(identity, body),
-        )
-
-    def valid(self, keyring: KeyRing) -> bool:
-        if self.signature.signer != self.notary:
-            return False
-        return verify(keyring, self.signature, self.signing_fields())
 
 
 @dataclass(frozen=True)
@@ -177,14 +96,6 @@ class QuorumCertificate:
     payment_id: str
     decision: Decision
     votes: Sequence[Vote] = field(default_factory=tuple)
-
-    def signing_fields(self) -> Dict[str, Any]:
-        return {
-            "type": "quorum",
-            "payment_id": self.payment_id,
-            "decision": self.decision.value,
-            "voters": sorted(v.notary for v in self.votes),
-        }
 
     def supporting_notaries(self, keyring: KeyRing, committee: Sequence[str]) -> List[str]:
         """Distinct committee members with valid, matching votes."""

@@ -30,9 +30,6 @@ class HashLock:
         """Whether ``preimage`` opens this lock."""
         return hashlib.sha256(preimage.value).digest() == self.digest
 
-    def signing_fields(self) -> dict:
-        return {"type": "hashlock", "digest": self.digest}
-
 
 @dataclass(frozen=True)
 class Preimage:
@@ -43,9 +40,6 @@ class Preimage:
     def lock(self) -> HashLock:
         """The lock this preimage opens."""
         return HashLock(hashlib.sha256(self.value).digest())
-
-    def signing_fields(self) -> dict:
-        return {"type": "preimage", "value": self.value}
 
 
 def new_secret(seed: str) -> Preimage:

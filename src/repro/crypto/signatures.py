@@ -1,18 +1,25 @@
-"""Signing and verification over canonical payload encodings.
+"""Signed statements over canonical encodings.
 
 A :class:`Signature` binds an identity name to a *canonical encoding* of
-a payload.  Canonicalisation walks plain Python structures (dict, list,
-tuple, str, int, float, bool, None, bytes) and any object exposing
-``signing_fields() -> dict``; the encoding is stable across runs and
+a payload.  Canonicalisation walks plain Python values (dict, list,
+tuple, str, int, float, bool, None, bytes) and Enum members, which
+encode as their values; the encoding is stable across runs and
 platforms so signatures are reproducible.
+
+:class:`Signed` is the one implementation of a signed statement.  A
+subclass declares its fields; the base signs and verifies the body
+``(KIND, *every field but signature)`` read off the instance, so a
+signature binds every field and no second copy of the body exists.
 """
 
 from __future__ import annotations
 
 import hashlib
 import hmac
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import dataclass, field, fields
+from enum import Enum
+from functools import lru_cache
+from typing import Any, ClassVar, Optional, Tuple, Type, TypeVar
 
 from ..errors import CryptoError, SignatureError
 from .keys import Identity, KeyRing
@@ -32,11 +39,10 @@ def canonical_encode(payload: Any) -> bytes:
 
 
 def _encode_into(value: Any, out: bytearray) -> None:
-    # Exact-class dispatch first (ordered by observed frequency in
-    # protocol payloads); subclasses — IntEnum values, str subclasses,
-    # ``signing_fields`` objects — fall through to the isinstance chain
-    # in :func:`_encode_other`, which preserves the original dispatch
-    # order and therefore the canonical byte encoding.
+    # Exact-class dispatch, ordered by observed frequency in protocol
+    # payloads.  Enum members encode as their values; any other type,
+    # a subclass of a plain type included, raises rather than be signed
+    # as something it is not.
     cls = value.__class__
     if cls is str:
         raw = value.encode("utf-8")
@@ -67,46 +73,10 @@ def _encode_into(value: Any, out: bytearray) -> None:
         out += b"Y%d:" % len(value)
         out += value
         out += b";"
+    elif isinstance(value, Enum):
+        _encode_into(value.value, out)
     else:
-        _encode_other(value, out)
-
-
-def _encode_other(value: Any, out: bytearray) -> None:
-    """Subclass / protocol fallback, in the canonical dispatch order."""
-    if isinstance(value, bool):
-        out += b"B1;" if value else b"B0;"
-    elif isinstance(value, int):
-        out += b"I%d;" % int(value)
-    elif isinstance(value, float):
-        out += b"F" + float(value).hex().encode() + b";"
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out += b"S%d:" % len(raw)
-        out += raw
-        out += b";"
-    elif isinstance(value, bytes):
-        out += b"Y%d:" % len(value)
-        out += value
-        out += b";"
-    elif isinstance(value, (list, tuple)):
-        out += b"L%d:" % len(value)
-        for item in value:
-            _encode_into(item, out)
-        out += b";"
-    elif isinstance(value, dict):
-        keys = sorted(value, key=str)
-        out += b"D%d:" % len(keys)
-        for key in keys:
-            _encode_into(str(key), out)
-            _encode_into(value[key], out)
-        out += b";"
-    elif hasattr(value, "signing_fields"):
-        fields = value.signing_fields()
-        out += f"O{type(value).__name__}:".encode()
-        _encode_into(fields, out)
-        out += b";"
-    else:
-        raise CryptoError(f"cannot canonically encode {type(value).__name__}")
+        raise CryptoError(f"cannot canonically encode {cls.__name__}")
 
 
 @dataclass(frozen=True)
@@ -155,43 +125,92 @@ def require_valid(keyring: KeyRing, signature: Signature, payload: Any) -> None:
         )
 
 
-@dataclass(frozen=True)
-class SignedClaim:
-    """A generic signed statement (dict body + signature).
+S = TypeVar("S", bound="Signed")
 
-    Used for the weak-liveness protocol's control plane: escrows sign
-    "escrowed" reports, Bob signs his commit request, customers sign
-    abort requests — so notaries can verify the provenance of protocol
-    inputs (external validity of the consensus).
+
+@lru_cache(maxsize=None)
+def _body_fields(cls: type) -> Tuple[str, ...]:
+    return tuple(f.name for f in fields(cls) if f.name != "signature")
+
+
+@dataclass(frozen=True)
+class Signed:
+    """A statement signed by the party one of its fields names.
+
+    A subclass is a frozen dataclass that declares its fields, ``KIND``
+    (which keeps statements of different types from sharing a body)
+    and ``SIGNER`` (the name of the field naming the signer).  The
+    signature is keyword-only and covers :attr:`body`.
     """
 
-    body: "dict"
-    signature: Signature
+    KIND: ClassVar[str]
+    SIGNER: ClassVar[str]
 
-    @classmethod
-    def make(cls, identity: Identity, **body: Any) -> "SignedClaim":
-        """Sign a claim; the signer name is embedded into the body."""
-        full = {**body, "signer": identity.name}
-        return cls(body=full, signature=sign(identity, full))
+    signature: Signature = field(kw_only=True)
 
     @property
-    def signer(self) -> str:
-        return str(self.body.get("signer", ""))
+    def body(self) -> Tuple[Any, ...]:
+        """What the signature covers: ``KIND``, then every other field
+        in declaration order."""
+        names = _body_fields(type(self))
+        return (self.KIND, *[getattr(self, name) for name in names])
+
+    @classmethod
+    def issue(cls: Type[S], identity: Identity, **values: Any) -> S:
+        """Sign a new statement as ``identity``, whose name fills ``SIGNER``."""
+        return cls.signed_by(identity, **values, **{cls.SIGNER: identity.name})
+
+    @classmethod
+    def signed_by(cls: Type[S], identity: Identity, **values: Any) -> S:
+        """The statement ``values`` describe, signed with ``identity``'s key.
+
+        Unlike :meth:`issue` this takes the signer field from ``values``:
+        naming another party there is the own-key forgery a Byzantine
+        party can make, whose tag verifies but which :meth:`valid`
+        rejects.
+        """
+        statement = cls(signature=None, **values)
+        # The body is read off the instance, so it is signed once built.
+        object.__setattr__(statement, "signature", sign(identity, statement.body))
+        return statement
 
     def valid(self, keyring: KeyRing, expected_signer: Optional[str] = None) -> bool:
-        """Verify the claim (optionally pinning the signer)."""
-        if self.signature.signer != self.signer:
+        """Verify the signature, optionally pinning the named signer.
+
+        The signature's signer must be the party the statement names:
+        without this check a Byzantine party could sign, with its own
+        key, a statement naming someone else, and the tag would verify.
+        """
+        signer = getattr(self, self.SIGNER)
+        if expected_signer is not None and signer != expected_signer:
             return False
-        if expected_signer is not None and self.signer != expected_signer:
+        if self.signature.signer != signer:
             return False
         return verify(keyring, self.signature, self.body)
 
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.body.get(key, default)
+
+@dataclass(frozen=True)
+class SignedClaim(Signed):
+    """A control-plane claim of the weak-liveness protocol.
+
+    Escrows sign "escrowed" reports, Bob signs the commit request,
+    customers sign abort requests — so notaries can verify the
+    provenance of protocol inputs (external validity of the consensus).
+    ``customer`` names the addressee of a claim made to one customer.
+    """
+
+    KIND = "claim"
+    SIGNER = "signer"
+
+    payment_id: str
+    kind: str
+    signer: str
+    customer: Optional[str] = None
 
 
 __all__ = [
     "Signature",
+    "Signed",
     "SignedClaim",
     "canonical_encode",
     "require_valid",

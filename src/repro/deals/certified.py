@@ -107,7 +107,7 @@ class CertifiedArcEscrow(Process):
         cert = message.payload
         if self.decision is not None or not isinstance(cert, DecisionCertificate):
             return
-        if not cert.valid(self.keyring, expected_issuer=self.observer_name):
+        if not cert.valid(self.keyring, expected_signer=self.observer_name):
             return
         self.decision = cert.decision
         if self.lock_id is not None:
@@ -168,7 +168,9 @@ class CertifiedDealObserver(Process):
         if decision is None:
             return
         self.broadcasted = True
-        cert = DecisionCertificate.issue(self.identity, "deal", decision)
+        cert = DecisionCertificate.issue(
+            self.identity, payment_id="deal", decision=decision
+        )
         self.sim.trace.record(
             self.sim.now, TraceKind.CERT_ISSUED, self.name, cert=decision.value
         )
@@ -251,7 +253,7 @@ class CertifiedDealParty(Process):
         if message.kind is MsgKind.DECISION and message.sender == self.observer_name:
             cert = message.payload
             if isinstance(cert, DecisionCertificate) and cert.valid(
-                self.keyring, expected_issuer=self.observer_name
+                self.keyring, expected_signer=self.observer_name
             ):
                 if self.decision is None:
                     self.decision = cert.decision

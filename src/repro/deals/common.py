@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..clocks import DriftingClock, PERFECT_CLOCK, random_clock
+from ..core.session import DEFAULT_HORIZON
 from ..crypto.keys import KeyRing
 from ..ledger.ledger import Ledger
 from ..net.adversary import Adversary
@@ -113,7 +114,7 @@ class DealSession:
         rho: float = 0.0,
         byzantine: Optional[Dict[int, str]] = None,
         options: Optional[Dict[str, Any]] = None,
-        horizon: float = 100_000.0,
+        horizon: float = DEFAULT_HORIZON,
     ) -> None:
         self.matrix = matrix
         self.protocol_factory = protocol_factory

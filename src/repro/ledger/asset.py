@@ -11,7 +11,6 @@ connector simply *receives* one amount and *sends* another.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict
 
 from ..errors import LedgerError
 
@@ -80,9 +79,6 @@ class Amount:
     @property
     def is_positive(self) -> bool:
         return self.units > 0
-
-    def signing_fields(self) -> Dict[str, Any]:
-        return {"type": "amount", "asset": self.asset, "units": self.units}
 
     def __repr__(self) -> str:
         return f"{self.units} {self.asset}"

@@ -61,7 +61,7 @@ class CBCObserver(ChainAgent):
                 break
             claim = record.payload
             if valid_claim(claim, self.keyring, record.publisher, self.payment_id):
-                decision = votes.add(claim.get("kind"), record.publisher)
+                decision = votes.add(claim.kind, record.publisher)
                 if decision is not None:
                     return decision
         return None

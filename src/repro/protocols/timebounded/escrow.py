@@ -59,10 +59,8 @@ def issuer_accepted(cert: Any, keyring: Any, expected: Any) -> bool:
     certificates discharges the hop.
     """
     if isinstance(expected, str):
-        return cert.valid(keyring, expected_issuer=expected)
-    return cert.issuer in expected and cert.valid(
-        keyring, expected_issuer=cert.issuer
-    )
+        return cert.valid(keyring, expected_signer=expected)
+    return cert.issuer in expected and cert.valid(keyring)
 
 
 def certificate_guard(automaton: Any, envelope: Envelope) -> bool:

@@ -141,7 +141,7 @@ class WeakCustomer(Process):
             return
         self.aborted_requested = True
         self.note("lost patience, requesting abort")
-        claim = SignedClaim.make(
+        claim = SignedClaim.issue(
             self.identity, payment_id=self.payment_id, kind="abort_request"
         )
         self.backend.report(self, MsgKind.ABORT_REQUEST, claim)
@@ -167,7 +167,7 @@ class WeakCustomer(Process):
             return
         if not claim.valid(self.keyring, expected_signer=escrow):
             return
-        if claim.get("payment_id") != self.payment_id or escrow in self._deposited:
+        if claim.payment_id != self.payment_id or escrow in self._deposited:
             return
         if self.decision_seen is not None or self.behavior == "never_deposit":
             return
@@ -199,7 +199,7 @@ class WeakCustomer(Process):
             return
         if not claim.valid(self.keyring, expected_signer=message.sender):
             return
-        if claim.get("payment_id") != self.payment_id:
+        if claim.payment_id != self.payment_id:
             return
         if self.behavior == "bob_never_commit":
             return
@@ -210,7 +210,7 @@ class WeakCustomer(Process):
             and len(self.promised) == len(self.incoming_escrows)
         ):
             self.commit_request_sent = True
-            request = SignedClaim.make(
+            request = SignedClaim.issue(
                 self.identity, payment_id=self.payment_id, kind="commit_request"
             )
             self.backend.report(self, MsgKind.COMMIT_REQUEST, request)

@@ -66,7 +66,7 @@ class WeakEscrow(Process):
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> None:
-        guarantee = SignedClaim.make(
+        guarantee = SignedClaim.issue(
             self.identity,
             payment_id=self.payment_id,
             kind="conditional_guarantee",
@@ -103,12 +103,12 @@ class WeakEscrow(Process):
         # The lock is on-ledger (durable); checkpoint its id so a
         # restored escrow knows it holds money and must re-report.
         self.checkpoint(lock_id=self.lock_id)
-        claim = SignedClaim.make(
+        claim = SignedClaim.issue(
             self.identity, payment_id=self.payment_id, kind="escrowed"
         )
         self.backend.report(self, MsgKind.ESCROWED, claim)
         if self.notify_beneficiary is not None:
-            promise = SignedClaim.make(
+            promise = SignedClaim.issue(
                 self.identity,
                 payment_id=self.payment_id,
                 kind="escrowed_for_you",
@@ -179,7 +179,7 @@ class WeakEscrow(Process):
             self.terminate(reason=f"decision {value} (recovered)")
             return
         if self.lock_id is not None:
-            claim = SignedClaim.make(
+            claim = SignedClaim.issue(
                 self.identity, payment_id=self.payment_id, kind="escrowed"
             )
             self.backend.report(self, MsgKind.ESCROWED, claim)

@@ -118,7 +118,7 @@ def valid_claim(claim: Any, keyring: Any, signer: str, payment_id: str) -> bool:
     return (
         isinstance(claim, SignedClaim)
         and claim.valid(keyring, expected_signer=signer)
-        and claim.get("payment_id") == payment_id
+        and claim.payment_id == payment_id
     )
 
 
@@ -158,7 +158,9 @@ class DecisionServer(Process):
             self.network.send(self, message.sender, MsgKind.DECISION, cert)
 
     def certificate(self, decision: Decision) -> DecisionCertificate:
-        return DecisionCertificate.issue(self.identity, self.payment_id, decision)
+        return DecisionCertificate.issue(
+            self.identity, payment_id=self.payment_id, decision=decision
+        )
 
     def announce(self, decision: Decision) -> None:
         self.decision = decision
@@ -200,7 +202,7 @@ class _SingleIssuerListener(DecisionListener):
             return None
         if cert.payment_id != self.payment_id:
             return None
-        if not cert.valid(self.keyring, expected_issuer=self.issuer):
+        if not cert.valid(self.keyring, expected_signer=self.issuer):
             return None
         return VerifiedDecision(decision=cert.decision, certificate=cert)
 

@@ -31,7 +31,8 @@ process pool), so a parallel campaign never buffers its records twice.
 
 Directories can also be **grown**: :func:`scan_records` reads whatever
 complete records a directory holds — manifest or not, salvaging an
-interrupted write up to its last complete line — and a writer opened
+interrupted write up to its last complete line, through the one
+streaming reader :func:`stream_records` — and a writer opened
 with ``resume_from=scan`` appends new records after the existing ones,
 leaving every prior ``records.jsonl`` byte untouched (the CSV, being
 derived data, is rebuilt).  This is the storage half of campaign
@@ -198,7 +199,7 @@ class ScanResult:
 
     @property
     def sweep_id(self) -> str:
-        return (self.manifest or {}).get("sweep_id", "sweep")
+        return sweep_id_of(self.manifest)
 
     @property
     def complete(self) -> bool:
@@ -209,6 +210,57 @@ class ScanResult:
         )
 
 
+def sweep_id_of(manifest: Optional[Dict[str, Any]]) -> str:
+    """The sweep id ``manifest`` records; ``"sweep"`` for a manifest
+    without one or a directory without a manifest (``None``)."""
+    return (manifest or {}).get("sweep_id", "sweep")
+
+
+def scan_manifest(in_dir: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """A directory's parsed manifest, or ``None`` when it has none or
+    the manifest does not parse (an interrupted ``--out`` run)."""
+    manifest_path = Path(in_dir) / MANIFEST_JSON
+    if not manifest_path.is_file():
+        return None
+    try:
+        with manifest_path.open("r", encoding="utf-8") as handle:
+            return json.load(handle)
+    except (json.JSONDecodeError, OSError):
+        return None
+
+
+def stream_records(in_dir: Union[str, Path]) -> Iterator[Tuple[TrialRecord, int]]:
+    """Stream a directory's complete records, tolerating a partial tail.
+
+    Yields each record of ``records.jsonl`` with the byte length of its
+    line, holding one line at a time.  A final line that is an
+    interrupted fragment ends the stream quietly; a malformed line
+    *before* the last one is real corruption and raises
+    :class:`PersistenceError` once the next line shows it was not the
+    last.  A missing directory or missing ``records.jsonl`` streams
+    nothing.
+    """
+    records_path = Path(in_dir) / RECORDS_JSONL
+    if not records_path.is_file():
+        return
+    torn: Optional[Tuple[int, Exception]] = None
+    with records_path.open("rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            if torn is not None:
+                bad_line, exc = torn
+                raise PersistenceError(
+                    f"{records_path}:{bad_line}: corrupt record ({exc})"
+                )
+            try:
+                if not raw.endswith(b"\n"):
+                    raise ValueError("no trailing newline")
+                record = record_from_dict(json.loads(raw.decode("utf-8")))
+            except (ValueError, PersistenceError, UnicodeDecodeError) as exc:
+                torn = (line_no, exc)  # salvage all before it if it is last
+                continue
+            yield record, len(raw)
+
+
 def scan_records(in_dir: Union[str, Path]) -> ScanResult:
     """Read a persisted directory's records, tolerating a partial tail.
 
@@ -216,43 +268,16 @@ def scan_records(in_dir: Union[str, Path]) -> ScanResult:
     a manifest (aborted ``--out`` runs) and directories whose final
     JSONL line is an interrupted fragment — the fragment is excluded
     and ``jsonl_bytes`` marks where the valid region ends, so an
-    appending writer can truncate to it and continue.  A malformed
-    line *before* the last one is real corruption and raises
-    :class:`PersistenceError`.  A missing directory or missing
-    ``records.jsonl`` scans as empty.
+    appending writer can truncate to it and continue.  Corruption
+    before the last line raises, as in :func:`stream_records`.
     """
-    in_dir = Path(in_dir)
-    manifest: Optional[Dict[str, Any]] = None
-    manifest_path = in_dir / MANIFEST_JSON
-    if manifest_path.is_file():
-        try:
-            with manifest_path.open("r", encoding="utf-8") as handle:
-                manifest = json.load(handle)
-        except (json.JSONDecodeError, OSError):
-            manifest = None
     records: List[TrialRecord] = []
     valid_bytes = 0
-    records_path = in_dir / RECORDS_JSONL
-    if not records_path.is_file():
-        return ScanResult(records=[], manifest=manifest, jsonl_bytes=0)
-    with records_path.open("rb") as handle:
-        raw_lines = handle.readlines()
-    for line_no, raw in enumerate(raw_lines, start=1):
-        last = line_no == len(raw_lines)
-        try:
-            if not raw.endswith(b"\n"):
-                raise ValueError("no trailing newline")
-            record = record_from_dict(json.loads(raw.decode("utf-8")))
-        except (ValueError, PersistenceError, UnicodeDecodeError) as exc:
-            if last:
-                break  # interrupted tail: salvage everything before it
-            raise PersistenceError(
-                f"{records_path}:{line_no}: corrupt record ({exc})"
-            ) from None
+    for record, size in stream_records(in_dir):
         records.append(record)
-        valid_bytes += len(raw)
+        valid_bytes += size
     return ScanResult(
-        records=records, manifest=manifest, jsonl_bytes=valid_bytes
+        records=records, manifest=scan_manifest(in_dir), jsonl_bytes=valid_bytes
     )
 
 
@@ -489,32 +514,26 @@ def iter_records(
     memory-bounded counterpart of :func:`load_sweep_result` for
     consumers that reduce records as they go (columnar ingestion, the
     analyze CLI over million-row directories).  The manifest is
-    validated up front and its record count checked after the final
-    line, so a truncated ``records.jsonl`` still raises — just after
-    the valid prefix was consumed.  As a generator, errors surface at
-    iteration time, not call time.
+    validated up front and the lines read by :func:`stream_records`;
+    after the last one the records must number what the manifest
+    promises and fill ``records.jsonl``, so a truncated file or a
+    corrupt last line still raises — just after the valid prefix was
+    consumed.  As a generator, errors surface at iteration time, not
+    call time.
     """
     in_dir = Path(in_dir)
     if chunk_size < 1:
         raise PersistenceError(f"chunk_size must be >= 1, got {chunk_size}")
     manifest = read_manifest(in_dir)
-    records_path = in_dir / RECORDS_JSONL
-    count = 0
+    count = valid_bytes = 0
     chunk: List[TrialRecord] = []
-    with records_path.open("r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                chunk.append(record_from_dict(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise PersistenceError(
-                    f"{records_path}:{line_no}: invalid JSON ({exc})"
-                ) from None
-            count += 1
-            if len(chunk) >= chunk_size:
-                yield chunk
-                chunk = []
+    for record, size in stream_records(in_dir):
+        chunk.append(record)
+        count += 1
+        valid_bytes += size
+        if len(chunk) >= chunk_size:
+            yield chunk
+            chunk = []
     if chunk:
         yield chunk
     expected = manifest.get("records")
@@ -522,6 +541,10 @@ def iter_records(
         raise PersistenceError(
             f"{in_dir}: manifest promises {expected} records, "
             f"{RECORDS_JSONL} holds {count} (truncated write?)"
+        )
+    if valid_bytes != (in_dir / RECORDS_JSONL).stat().st_size:
+        raise PersistenceError(
+            f"{in_dir / RECORDS_JSONL}: corrupt line after record {count}"
         )
 
 
@@ -539,7 +562,7 @@ def load_sweep_result(in_dir: Union[str, Path]) -> SweepResult:
     for chunk in iter_records(in_dir):
         records.extend(chunk)
     return SweepResult(
-        sweep_id=manifest.get("sweep_id", "sweep"),
+        sweep_id=sweep_id_of(manifest),
         records=records,
         wall_seconds=manifest.get("wall_seconds", 0.0),
         jobs=manifest.get("jobs", 1),
@@ -563,6 +586,9 @@ __all__ = [
     "read_manifest",
     "record_from_dict",
     "record_to_dict",
+    "scan_manifest",
     "scan_records",
+    "stream_records",
+    "sweep_id_of",
     "write_sweep_result",
 ]

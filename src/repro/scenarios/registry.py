@@ -49,6 +49,7 @@ from typing import (
     Type,
 )
 
+from ..core.session import DEFAULT_HORIZON
 from ..core.topology import HopEdge, PaymentGraph, PaymentTopology
 from ..errors import ProtocolError, ScenarioError
 from ..ledger.asset import Amount
@@ -65,11 +66,6 @@ from ..net.adversary import (
 from ..net.message import MsgKind
 from ..protocols.base import PaymentProtocol, available_protocols, protocol_class
 from ..sim.faults import CRASH_POINTS
-
-#: Global-time backstop for campaign trials and workload payments;
-#: generous enough for every registered (protocol, timing, adversary)
-#: cell to settle or abort.
-DEFAULT_HORIZON = 50_000.0
 
 
 def _doc_line(obj: Any) -> str:

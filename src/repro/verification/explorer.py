@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..core.session import DEFAULT_HORIZON, PaymentSession
 from ..errors import VerificationError
 from ..net.adversary import Adversary
 from ..net.message import Envelope, MsgKind
@@ -152,14 +153,13 @@ def explore_payment(
     protocol_options: Optional[Dict[str, Any]] = None,
     decision_kinds: Tuple[MsgKind, ...] = DEFAULT_DECISION_KINDS,
     max_paths: int = 4096,
-    horizon: float = 100_000.0,
+    horizon: float = DEFAULT_HORIZON,
 ) -> ExplorationReport:
     """Exhaustively explore a payment configuration.
 
     Factories are invoked per path so each run starts from identical,
     independent state.
     """
-    from ..core.session import PaymentSession  # local import: no cycle
 
     def run_once(adversary: Adversary) -> Any:
         session = PaymentSession(

@@ -667,6 +667,42 @@ class TestColumnProjection:
         assert "protocol" in slim.column_names()
         assert "latency" not in slim.column_names()
 
+    def test_partial_projected_load_peaks_no_higher_than_complete(
+        self, tmp_path
+    ):
+        """A partial load streams one line at a time, so it never holds
+        more records than the complete load's one chunk."""
+        import tracemalloc
+
+        from repro.runtime import SweepResult
+        from repro.runtime.persist import STREAM_CHUNK
+
+        records = [
+            TrialRecord(
+                spec=TrialSpec(
+                    fn=TRIAL_REF, coords=("weak", i), seed=i,
+                    options={"protocol": "weak", "timing_name": "sync",
+                             "topology": "linear-2", "horizon": 50_000.0},
+                ),
+                values={"bob_paid": i % 3 > 0, "latency": i * 0.25,
+                        "messages": i % 17, "note": f"trial {i}"},
+            )
+            for i in range(4 * STREAM_CHUNK)
+        ]
+        out = tmp_path / "big"
+        write_sweep_result(SweepResult("big", records), out)
+        del records
+
+        def peak(**load):
+            tracemalloc.start()
+            try:
+                RecordStore.load(out, columns=["protocol", "latency"], **load)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(partial=True) <= peak()
+
 
 class TestIterRecords:
     def test_chunks_cover_directory_in_order(self, tmp_path):
@@ -691,6 +727,26 @@ class TestIterRecords:
         lines = jsonl.read_bytes().splitlines(keepends=True)
         jsonl.write_bytes(b"".join(lines[:-1]))  # drop one record
         with pytest.raises(PersistenceError, match="manifest promises"):
+            list(iter_records(out))
+
+    @pytest.mark.parametrize("junk", [b"{\"spec\": ", b"\n"])
+    def test_trailing_junk_after_the_counted_records_raises(self, tmp_path, junk):
+        from repro.runtime import iter_records
+
+        out, _ = _persisted(tmp_path)
+        with (out / RECORDS_JSONL).open("ab") as handle:
+            handle.write(junk)
+        with pytest.raises(PersistenceError, match="corrupt line"):
+            list(iter_records(out))
+
+    def test_blank_line_before_the_last_record_raises(self, tmp_path):
+        from repro.runtime import iter_records
+
+        out, _ = _persisted(tmp_path)
+        jsonl = out / RECORDS_JSONL
+        lines = jsonl.read_bytes().splitlines(keepends=True)
+        jsonl.write_bytes(lines[0] + b"\n" + b"".join(lines[1:]))
+        with pytest.raises(PersistenceError, match="corrupt record"):
             list(iter_records(out))
 
     def test_bad_chunk_size_rejected(self, tmp_path):

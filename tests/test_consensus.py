@@ -138,7 +138,10 @@ class TestByzantineTolerance:
 
 class TestQuorumAssembler:
     def _votes(self, ring, names, decision=Decision.COMMIT):
-        return [Vote.cast(ring.create(n), "p", decision) for n in names]
+        return [
+            Vote.issue(ring.create(n), payment_id="p", decision=decision)
+            for n in names
+        ]
 
     def test_assembles_at_threshold(self):
         ring = KeyRing()

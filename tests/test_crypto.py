@@ -1,5 +1,7 @@
 """Unit and property-based tests: simulated crypto."""
 
+from dataclasses import fields, replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,6 +17,7 @@ from repro.crypto.keys import KeyRing
 from repro.crypto.promises import Guarantee, PaymentPromise
 from repro.crypto.signatures import (
     Signature,
+    Signed,
     SignedClaim,
     canonical_encode,
     require_valid,
@@ -48,6 +51,17 @@ class TestCanonicalEncoding:
     def test_unsupported_type_raises(self):
         with pytest.raises(CryptoError):
             canonical_encode(object())
+
+    def test_only_enum_subclasses_encode(self):
+        """An Enum member encodes as its value; any other subclass of a
+        plain type raises rather than pass for its base."""
+
+        class Name(str):
+            pass
+
+        with pytest.raises(CryptoError):
+            canonical_encode(Name("commit"))
+        assert canonical_encode(Decision.COMMIT) == canonical_encode("commit")
 
     @given(
         st.recursive(
@@ -104,63 +118,108 @@ class TestSignatures:
             require_valid(ring, sig, "y")
 
     def test_signed_claim_roundtrip(self, ring):
-        claim = SignedClaim.make(ring.create("alice"), payment_id="p", kind="escrowed")
+        claim = SignedClaim.issue(ring.create("alice"), payment_id="p", kind="escrowed")
         assert claim.signer == "alice"
         assert claim.valid(ring)
         assert claim.valid(ring, expected_signer="alice")
         assert not claim.valid(ring, expected_signer="bob")
 
     def test_signed_claim_body_is_bound(self, ring):
-        claim = SignedClaim.make(ring.create("alice"), payment_id="p")
-        tampered = SignedClaim(
-            body={**claim.body, "payment_id": "q"}, signature=claim.signature
-        )
+        claim = SignedClaim.issue(ring.create("alice"), payment_id="p", kind="escrowed")
+        tampered = replace(claim, payment_id="q")
         assert not tampered.valid(ring)
+
+
+#: Two distinct values per field type of a signed statement.
+SAMPLES = {
+    "str": ("alice", "bob"),
+    "Optional[str]": ("alice", None),
+    "float": (1.5, 2.5),
+    "Decision": (Decision.COMMIT, Decision.ABORT),
+}
+
+SIGNED_FIELDS = [
+    pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+    for cls in Signed.__subclasses__()
+    for f in fields(cls)
+    if f.name != "signature"
+]
+
+
+class TestSigned:
+    def test_every_signed_type_is_a_signed_statement(self):
+        assert set(Signed.__subclasses__()) == {
+            PaymentCertificate, DecisionCertificate, Vote,
+            Guarantee, PaymentPromise, SignedClaim,
+        }
+
+    @pytest.mark.parametrize("cls, tampered", SIGNED_FIELDS)
+    def test_signature_binds_every_field(self, ring, cls, tampered):
+        statement = cls.issue(ring.create("alice"), **{
+            f.name: SAMPLES[f.type][0]
+            for f in fields(cls)
+            if f.name not in ("signature", cls.SIGNER)
+        })
+        assert statement.valid(ring)
+        other = SAMPLES[tampered.type][1]
+        assert not replace(statement, **{tampered.name: other}).valid(ring)
+
+    @pytest.mark.parametrize("cls", Signed.__subclasses__(), ids=lambda c: c.__name__)
+    def test_own_key_forgery_rejected(self, ring, cls):
+        """Eve signs, with her own key, a statement naming Alice: the tag
+        verifies over the body, so only the signer check rejects it."""
+        forged = cls.signed_by(ring.create("eve"), **{
+            f.name: "alice" if f.name == cls.SIGNER else SAMPLES[f.type][0]
+            for f in fields(cls)
+            if f.name != "signature"
+        })
+        assert verify(ring, forged.signature, forged.body)
+        assert not forged.valid(ring)
+        assert not forged.valid(ring, expected_signer="alice")
 
 
 class TestPaymentCertificate:
     def test_issue_and_verify(self, ring):
-        cert = PaymentCertificate.issue(ring.create("bob"), "pay1")
+        cert = PaymentCertificate.issue(ring.create("bob"), payment_id="pay1")
         assert cert.valid(ring)
-        assert cert.valid(ring, expected_issuer="bob")
+        assert cert.valid(ring, expected_signer="bob")
 
     def test_wrong_expected_issuer(self, ring):
-        cert = PaymentCertificate.issue(ring.create("bob"), "pay1")
-        assert not cert.valid(ring, expected_issuer="alice")
+        cert = PaymentCertificate.issue(ring.create("bob"), payment_id="pay1")
+        assert not cert.valid(ring, expected_signer="alice")
 
     def test_forgery_with_own_key_rejected(self, ring):
         """Eve signs a body claiming Bob issued it — must fail."""
         eve = ring.create("eve")
-        body = {"type": "chi", "payment_id": "pay1", "issuer": "bob"}
-        forged = PaymentCertificate(
-            payment_id="pay1", issuer="bob", signature=sign(eve, body)
-        )
+        forged = PaymentCertificate.signed_by(eve, payment_id="pay1", issuer="bob")
+        assert verify(ring, forged.signature, forged.body)
         assert not forged.valid(ring)
-        assert not forged.valid(ring, expected_issuer="bob")
+        assert not forged.valid(ring, expected_signer="bob")
 
 
 class TestDecisionCertificates:
     def test_issue_and_verify(self, ring):
-        cert = DecisionCertificate.issue(ring.create("alice"), "p", Decision.COMMIT)
+        cert = DecisionCertificate.issue(
+            ring.create("alice"), payment_id="p", decision=Decision.COMMIT
+        )
         assert cert.valid(ring)
         assert cert.is_commit
 
     def test_cross_issuer_forgery_rejected(self, ring):
         eve = ring.create("eve")
-        body = {
-            "type": "decision", "payment_id": "p",
-            "decision": "commit", "issuer": "alice",
-        }
-        forged = DecisionCertificate(
-            payment_id="p", decision=Decision.COMMIT, issuer="alice",
-            signature=sign(eve, body),
+        forged = DecisionCertificate.signed_by(
+            eve, payment_id="p", decision=Decision.COMMIT, issuer="alice"
         )
+        assert verify(ring, forged.signature, forged.body)
         assert not forged.valid(ring)
 
 
 class TestQuorumCertificates:
     def _votes(self, ring, names, decision=Decision.COMMIT, payment="p"):
-        return [Vote.cast(ring.create(n), payment, decision) for n in names]
+        return [
+            Vote.issue(ring.create(n), payment_id=payment, decision=decision)
+            for n in names
+        ]
 
     def test_quorum_reached(self, ring):
         committee = ["n0", "n1", "n2", "n3"]
@@ -194,12 +253,11 @@ class TestQuorumCertificates:
 
     def test_vote_signer_must_match_notary(self, ring):
         eve = ring.create("eve")
-        body = {"type": "vote", "payment_id": "p", "decision": "commit", "notary": "n0"}
         ring.create("n0")
-        forged = Vote(
-            payment_id="p", decision=Decision.COMMIT, notary="n0",
-            signature=sign(eve, body),
+        forged = Vote.signed_by(
+            eve, payment_id="p", decision=Decision.COMMIT, notary="n0"
         )
+        assert verify(ring, forged.signature, forged.body)
         assert not forged.valid(ring)
 
     def test_zero_threshold_rejected(self, ring):
@@ -210,26 +268,38 @@ class TestQuorumCertificates:
 
 class TestPromises:
     def test_guarantee_roundtrip(self, ring):
-        g = Guarantee.issue(ring.create("alice"), "p", "bob", d=5.0)
+        g = Guarantee.issue(ring.create("alice"), payment_id="p", customer="bob", d=5.0)
         assert g.valid(ring)
         assert g.d == 5.0
 
     def test_guarantee_requires_positive_window(self, ring):
         with pytest.raises(CryptoError):
-            Guarantee.issue(ring.create("alice"), "p", "bob", d=0.0)
+            Guarantee.issue(ring.create("alice"), payment_id="p", customer="bob", d=0.0)
+
+    def test_windows_are_checked_on_every_construction(self, ring):
+        g = Guarantee.issue(ring.create("alice"), payment_id="p", customer="bob", d=5.0)
+        with pytest.raises(CryptoError):
+            replace(g, d=0.0)
+        with pytest.raises(CryptoError):
+            PaymentPromise(
+                payment_id="p", escrow="alice", customer="bob", a=-1.0,
+                issued_at_local=0.0, signature=g.signature,
+            )
 
     def test_promise_roundtrip_and_deadline(self, ring):
-        p = PaymentPromise.issue(ring.create("alice"), "p", "bob", a=4.0, issued_at_local=10.0)
+        p = PaymentPromise.issue(
+            ring.create("alice"), payment_id="p", customer="bob", a=4.0, issued_at_local=10.0
+        )
         assert p.valid(ring)
         assert p.deadline_local() == 14.0
 
     def test_promise_signer_must_be_escrow(self, ring):
-        p = PaymentPromise.issue(ring.create("eve"), "p", "bob", a=4.0, issued_at_local=0.0)
-        tampered = PaymentPromise(
-            payment_id="p", escrow="alice", customer="bob", a=4.0,
-            issued_at_local=0.0, signature=p.signature,
+        forged = PaymentPromise.signed_by(
+            ring.create("eve"), payment_id="p", escrow="alice", customer="bob",
+            a=4.0, issued_at_local=0.0,
         )
-        assert not tampered.valid(ring)
+        assert verify(ring, forged.signature, forged.body)
+        assert not forged.valid(ring)
 
 
 class TestHashlock:

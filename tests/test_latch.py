@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.session import PaymentSession
+from repro.core.session import DEFAULT_HORIZON, PaymentSession
 from repro.core.topology import PaymentTopology
 from repro.net.timing import Synchronous
 from repro.protocols.base import create_protocol
@@ -129,4 +129,4 @@ def test_a_crashed_victim_counts_once_after_it_recovers(
         # victim holds for as long as it is down.
         assert outcome.end_time == max(t for _, _, t in counted)
     else:
-        assert outcome.end_time == PaymentSession.DEFAULT_HORIZON
+        assert outcome.end_time == DEFAULT_HORIZON

@@ -127,6 +127,24 @@ class TestSessionConfiguration:
         session.run()
         assert session.protocol_instance.params.margin == 2.0
 
+    def test_every_entry_point_defaults_to_one_horizon(self):
+        """A run that never settles reports the horizon as its latency,
+        so it must not depend on the entry point."""
+        from inspect import signature
+
+        from repro.deals.common import DealSession
+        from repro.scenarios import registry
+        from repro.verification.explorer import explore_payment
+
+        session = PaymentSession(PaymentTopology.linear(2), "weak", Synchronous(1.0))
+        defaults = {
+            "PaymentSession": session.horizon,
+            "explore_payment": signature(explore_payment).parameters["horizon"].default,
+            "DealSession": signature(DealSession).parameters["horizon"].default,
+            "registry": registry.DEFAULT_HORIZON,
+        }
+        assert len(set(defaults.values())) == 1, defaults
+
     def test_empty_protocol_rejected(self):
         from repro.protocols.base import PaymentProtocol
 

@@ -64,6 +64,59 @@ def test_the_unused_import_scan_sees_every_import_form():
     assert _unused_imports(source) == [(2, "os"), (3, "codec"), (4, "Any")]
 
 
+#: What an import may take from the crypto package to sign or verify
+#: outside a signed statement: the functions, their module, or everything.
+SIGNING_NAMES = {"sign", "verify", "require_valid", "signatures", "*"}
+
+
+def _signing_imports(source: str):
+    """Lines that give a module ``sign`` or ``verify``: importing them,
+    the ``signatures`` module, or the crypto package as a module object."""
+    lines = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any("crypto" in alias.name.split(".") for alias in node.names):
+                lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            taken = {alias.name for alias in node.names}
+            tail = (node.module or "").split(".")[-1]
+            if "crypto" in taken or (
+                tail in ("crypto", "signatures") and taken & SIGNING_NAMES
+            ):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_crypto_package_signs_or_verifies():
+    """A signed statement signs and verifies itself (``Signed.issue``,
+    ``Signed.valid``), so no other module builds a signed body by hand."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.relative_to(PACKAGE).parts[0] == "crypto":
+            continue
+        for line in _signing_imports(path.read_text(encoding="utf-8")):
+            found.append(f"{path.relative_to(PACKAGE)}:{line}")
+    assert not found, "sign/verify imported outside crypto/:\n" + "\n".join(found)
+
+
+def test_the_signing_import_scan_sees_every_import_form():
+    source = (
+        "from ..crypto.signatures import sign\n"
+        "from repro.crypto import Identity, verify as check\n"
+        "def late():\n"
+        "    from ...crypto.signatures import SignedClaim, sign\n"
+        "from ..crypto.certificates import Vote\n"
+        "from .verification import verify\n"
+        "import repro.crypto.signatures as s\n"
+        "from ..crypto import signatures\n"
+        "from .. import crypto\n"
+        "from ..crypto.signatures import *\n"
+        "import hashlib, repro.crypto\n"
+        "from ..crypto.signatures import require_valid\n"
+    )
+    assert _signing_imports(source) == [1, 2, 4, 7, 8, 9, 10, 11, 12]
+
+
 def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
     """Only ``python -m repro`` runs the CLI; an import (a package
     walk, a doc generator) must not run the experiments or exit."""
