@@ -282,7 +282,7 @@ class PaymentSession:
                 arena.network = network
                 arena.ledgers.update(ledgers)
                 arena.runs += 1
-        keyring = KeyRing(domain=self.topology.payment_id)
+        keyring = KeyRing()
         if self.funding is not None:
             self.funding(self.topology, ledgers)
         else:

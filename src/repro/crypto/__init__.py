@@ -11,7 +11,7 @@ from .certificates import (
 from .hashlock import HashLock, Preimage, new_secret
 from .keys import Identity, KeyRing
 from .promises import Guarantee, PaymentPromise
-from .signatures import Signature, canonical_encode, require_valid, sign, verify
+from .signatures import Signature, sign, verify
 
 __all__ = [
     "Decision",
@@ -26,9 +26,7 @@ __all__ = [
     "QuorumCertificate",
     "Signature",
     "Vote",
-    "canonical_encode",
     "new_secret",
-    "require_valid",
     "sign",
     "verify",
 ]

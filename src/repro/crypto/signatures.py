@@ -1,10 +1,13 @@
-"""Signed statements over canonical encodings.
+"""Ideal signatures, and the one signed-statement base.
 
-A :class:`Signature` binds an identity name to a *canonical encoding* of
-a payload.  Canonicalisation walks plain Python values (dict, list,
-tuple, str, int, float, bool, None, bytes) and Enum members, which
-encode as their values; the encoding is stable across runs and
-platforms so signatures are reproducible.
+Signatures are ideal, after Canetti's signing functionality: :func:`sign`
+makes a fresh :class:`Signature` handle and records, in the signer's
+:class:`~repro.crypto.keys.KeyRing`, who made it over which body;
+:func:`verify` accepts a handle only if the ring recorded it, made by
+the signer it names, over an equal body.  Nothing is encoded or hashed.
+A handle compares by identity, so one built by hand, whatever signer it
+names, was never recorded and never verifies: holding a signature
+proves it was received.
 
 :class:`Signed` is the one implementation of a signed statement.  A
 subclass declares its fields; the base signs and verifies the body
@@ -14,115 +17,42 @@ signature binds every field and no second copy of the body exists.
 
 from __future__ import annotations
 
-import hashlib
-import hmac
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import lru_cache
 from typing import Any, ClassVar, Optional, Tuple, Type, TypeVar
 
-from ..errors import CryptoError, SignatureError
 from .keys import Identity, KeyRing
 
 
-def canonical_encode(payload: Any) -> bytes:
-    """Deterministically encode ``payload`` for signing.
-
-    Raises
-    ------
-    CryptoError
-        If the payload contains an unsupported type.
-    """
-    out = bytearray()
-    _encode_into(payload, out)
-    return bytes(out)
-
-
-def _encode_into(value: Any, out: bytearray) -> None:
-    # Exact-class dispatch, ordered by observed frequency in protocol
-    # payloads.  Enum members encode as their values; any other type,
-    # a subclass of a plain type included, raises rather than be signed
-    # as something it is not.
-    cls = value.__class__
-    if cls is str:
-        raw = value.encode("utf-8")
-        out += b"S%d:" % len(raw)
-        out += raw
-        out += b";"
-    elif cls is int:
-        out += b"I%d;" % value
-    elif cls is dict:
-        keys = sorted(value, key=str)
-        out += b"D%d:" % len(keys)
-        for key in keys:
-            _encode_into(str(key), out)
-            _encode_into(value[key], out)
-        out += b";"
-    elif cls is list or cls is tuple:
-        out += b"L%d:" % len(value)
-        for item in value:
-            _encode_into(item, out)
-        out += b";"
-    elif cls is float:
-        out += b"F" + value.hex().encode() + b";"
-    elif cls is bool:
-        out += b"B1;" if value else b"B0;"
-    elif value is None:
-        out += b"N;"
-    elif cls is bytes:
-        out += b"Y%d:" % len(value)
-        out += value
-        out += b";"
-    elif isinstance(value, Enum):
-        _encode_into(value.value, out)
-    else:
-        raise CryptoError(f"cannot canonically encode {cls.__name__}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, slots=True)
 class Signature:
-    """An HMAC tag binding ``signer`` to a payload digest."""
+    """A signature handle naming its signer.  What was signed is recorded
+    in the signer's key ring under this very object."""
 
     signer: str
-    tag: bytes
-
-    def __post_init__(self) -> None:
-        if len(self.tag) != 32:
-            raise CryptoError("signature tag must be 32 bytes")
 
 
-def sign(identity: Identity, payload: Any) -> Signature:
-    """Sign ``payload`` as ``identity``.
+def sign(identity: Identity, body: Any) -> Signature:
+    """Sign ``body`` as ``identity``: a fresh handle, recorded in the
+    identity's ring.
 
-    Signing requires the identity object (and thus its secret) — this is
-    the structural unforgeability guarantee.
+    Signing requires the identity object — this is the structural
+    unforgeability guarantee.
     """
-    encoded = canonical_encode(payload)
-    tag = hmac.new(identity.secret, encoded, hashlib.sha256).digest()
-    return Signature(signer=identity.name, tag=tag)
+    signature = Signature(identity.name)
+    identity.ring._signatures[signature] = (identity.name, body)
+    return signature
 
 
-def verify(keyring: KeyRing, signature: Signature, payload: Any) -> bool:
-    """Check ``signature`` over ``payload`` against the registry.
+def verify(keyring: KeyRing, signature: Signature, body: Any) -> bool:
+    """Whether ``keyring`` recorded ``signature`` as made by the signer
+    it names over a body equal to ``body``.
 
-    Returns ``False`` for unknown signers or non-matching tags (never
-    raises for a *failed* check; raises only for malformed inputs).
+    The record keeps the signer as well: a handle's field can be
+    rewritten (``object.__setattr__``), the ring's record cannot.
     """
-    if not keyring.knows(signature.signer):
-        return False
-    encoded = canonical_encode(payload)
-    expected = hmac.new(
-        keyring.secret_of(signature.signer), encoded, hashlib.sha256
-    ).digest()
-    return hmac.compare_digest(expected, signature.tag)
-
-
-def require_valid(keyring: KeyRing, signature: Signature, payload: Any) -> None:
-    """Verify or raise :class:`SignatureError`."""
-    if not verify(keyring, signature, payload):
-        raise SignatureError(
-            f"invalid signature claimed by {signature.signer!r}"
-        )
+    record = keyring._signatures
+    return signature in record and record[signature] == (signature.signer, body)
 
 
 S = TypeVar("S", bound="Signed")
@@ -166,8 +96,8 @@ class Signed:
 
         Unlike :meth:`issue` this takes the signer field from ``values``:
         naming another party there is the own-key forgery a Byzantine
-        party can make, whose tag verifies but which :meth:`valid`
-        rejects.
+        party can make, whose signature verifies over the body but which
+        :meth:`valid` rejects.
         """
         statement = cls(signature=None, **values)
         # The body is read off the instance, so it is signed once built.
@@ -179,14 +109,19 @@ class Signed:
 
         The signature's signer must be the party the statement names:
         without this check a Byzantine party could sign, with its own
-        key, a statement naming someone else, and the tag would verify.
+        key, a statement naming someone else, and the signature would
+        verify.  A statement a sender built without a :class:`Signature`
+        (``None``, or any other object) is invalid, never an error.
         """
         signer = getattr(self, self.SIGNER)
         if expected_signer is not None and signer != expected_signer:
             return False
-        if self.signature.signer != signer:
+        signature = self.signature
+        # Exactly a Signature: a subclass could redefine equality and
+        # hashing to pass for a recorded handle.
+        if type(signature) is not Signature or signature.signer != signer:
             return False
-        return verify(keyring, self.signature, self.body)
+        return verify(keyring, signature, self.body)
 
 
 @dataclass(frozen=True)
@@ -212,8 +147,6 @@ __all__ = [
     "Signature",
     "Signed",
     "SignedClaim",
-    "canonical_encode",
-    "require_valid",
     "sign",
     "verify",
 ]

@@ -129,7 +129,7 @@ class DealSession:
     def _build_env(self) -> DealEnv:
         sim = Simulator(seed=self.seed)
         network = Network(sim, self.timing, self.adversary)
-        keyring = KeyRing(domain="deal")
+        keyring = KeyRing()
         ledgers: Dict[Tuple[int, int], Ledger] = {}
         for i, j, amount in self.matrix.arcs():
             ledger = Ledger(name=arc_escrow_name(i, j), sim=sim)

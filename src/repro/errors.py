@@ -50,11 +50,8 @@ class TimingModelError(NetworkError):
 
 
 class CryptoError(ReproError):
-    """Signature creation or verification failed structurally."""
-
-
-class SignatureError(CryptoError):
-    """A signature did not verify (forgery attempt or corruption)."""
+    """A cryptographic object is malformed (a signed statement's window
+    or decision, a hash-lock digest, an identity name)."""
 
 
 class LedgerError(ReproError):

@@ -76,7 +76,7 @@ def _committee_split_attack(
         PartialSynchrony(gst=60.0, delta=0.5),
         adversary=PredicateDelayAdversary(partition, delay=HOLD),
     )
-    keyring = KeyRing(domain="e5")
+    keyring = KeyRing()
     committee = [f"notary{i}" for i in range(n_notaries)]
     f_assumed = (n_notaries - 1) // 3
     threshold = 2 * f_assumed + 1

@@ -15,7 +15,7 @@ from repro.sim.kernel import Simulator
 def _committee(n=4, f=1, seed=0, behaviors=None, gst=5.0, delta=0.5):
     sim = Simulator(seed=seed)
     network = Network(sim, PartialSynchrony(gst=gst, delta=delta))
-    ring = KeyRing(domain="consensus-test")
+    ring = KeyRing()
     names = [f"n{i}" for i in range(n)]
     notaries = []
     for i, name in enumerate(names):

@@ -15,78 +15,16 @@ from repro.crypto.certificates import (
 from repro.crypto.hashlock import HashLock, Preimage, new_secret
 from repro.crypto.keys import KeyRing
 from repro.crypto.promises import Guarantee, PaymentPromise
-from repro.crypto.signatures import (
-    Signature,
-    Signed,
-    SignedClaim,
-    canonical_encode,
-    require_valid,
-    sign,
-    verify,
-)
-from repro.errors import CryptoError, SignatureError
+from repro.crypto.signatures import Signature, Signed, SignedClaim, sign, verify
+from repro.errors import CryptoError
 
 
 @pytest.fixture()
 def ring():
-    ring = KeyRing(domain="test")
+    ring = KeyRing()
     for name in ("alice", "bob", "eve"):
         ring.create(name)
     return ring
-
-
-class TestCanonicalEncoding:
-    def test_dict_key_order_irrelevant(self):
-        assert canonical_encode({"a": 1, "b": 2}) == canonical_encode({"b": 2, "a": 1})
-
-    def test_distinguishes_types(self):
-        assert canonical_encode(1) != canonical_encode("1")
-        assert canonical_encode(True) != canonical_encode(1)
-        assert canonical_encode(None) != canonical_encode(0)
-
-    def test_nested_structures(self):
-        payload = {"list": [1, "x", {"k": b"bytes"}], "t": (1, 2)}
-        assert canonical_encode(payload) == canonical_encode(payload)
-
-    def test_unsupported_type_raises(self):
-        with pytest.raises(CryptoError):
-            canonical_encode(object())
-
-    def test_only_enum_subclasses_encode(self):
-        """An Enum member encodes as its value; any other subclass of a
-        plain type raises rather than pass for its base."""
-
-        class Name(str):
-            pass
-
-        with pytest.raises(CryptoError):
-            canonical_encode(Name("commit"))
-        assert canonical_encode(Decision.COMMIT) == canonical_encode("commit")
-
-    @given(
-        st.recursive(
-            st.one_of(
-                st.none(),
-                st.booleans(),
-                st.integers(),
-                st.floats(allow_nan=False),
-                st.text(max_size=20),
-                st.binary(max_size=20),
-            ),
-            lambda inner: st.one_of(
-                st.lists(inner, max_size=4),
-                st.dictionaries(st.text(max_size=8), inner, max_size=4),
-            ),
-            max_leaves=12,
-        )
-    )
-    def test_encoding_is_deterministic(self, payload):
-        assert canonical_encode(payload) == canonical_encode(payload)
-
-    @given(st.text(max_size=30), st.text(max_size=30))
-    def test_distinct_strings_distinct_encodings(self, a, b):
-        if a != b:
-            assert canonical_encode(a) != canonical_encode(b)
 
 
 class TestSignatures:
@@ -101,21 +39,32 @@ class TestSignatures:
         assert not verify(ring, sig, {"msg": "hacked"})
 
     def test_unknown_signer_fails(self, ring):
-        sig = Signature(signer="nobody", tag=b"\x00" * 32)
+        sig = Signature("nobody")
         assert not verify(ring, sig, {"x": 1})
 
     def test_wrong_key_cannot_impersonate(self, ring):
         eve = ring.create("eve")
-        sig = sign(eve, {"msg": "hi"})
-        forged = Signature(signer="alice", tag=sig.tag)
+        sign(eve, {"msg": "hi"})
+        forged = Signature("alice")
         assert not verify(ring, forged, {"msg": "hi"})
 
-    def test_require_valid_raises(self, ring):
+    def test_hand_built_handle_never_verifies(self, ring):
+        """A handle is the record of one signing, not a name: a handle
+        naming the signer of a body it did sign proves nothing."""
         alice = ring.create("alice")
-        sig = sign(alice, "x")
-        require_valid(ring, sig, "x")  # no raise
-        with pytest.raises(SignatureError):
-            require_valid(ring, sig, "y")
+        assert verify(ring, sign(alice, ("x", 1.5)), ("x", 1.5))
+        assert not verify(ring, Signature("alice"), ("x", 1.5))
+
+    def test_signature_does_not_verify_in_another_ring(self, ring):
+        other = KeyRing()
+        for name in ("alice", "bob", "eve"):
+            other.create(name)
+        sig = sign(ring.create("alice"), ("x", 1.5))
+        assert verify(ring, sig, ("x", 1.5))
+        assert not verify(other, sig, ("x", 1.5))
+        cert = PaymentCertificate.issue(ring.create("bob"), payment_id="p")
+        assert cert.valid(ring)
+        assert not cert.valid(other)
 
     def test_signed_claim_roundtrip(self, ring):
         claim = SignedClaim.issue(ring.create("alice"), payment_id="p", kind="escrowed")
@@ -138,6 +87,16 @@ SAMPLES = {
     "Decision": (Decision.COMMIT, Decision.ABORT),
 }
 
+def _sample_statement(cls, identity, signer):
+    """A ``cls`` statement of sample values naming ``signer``, signed
+    with ``identity``'s key."""
+    return cls.signed_by(identity, **{
+        f.name: signer if f.name == cls.SIGNER else SAMPLES[f.type][0]
+        for f in fields(cls)
+        if f.name != "signature"
+    })
+
+
 SIGNED_FIELDS = [
     pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
     for cls in Signed.__subclasses__()
@@ -155,6 +114,15 @@ class TestSigned:
 
     @pytest.mark.parametrize("cls, tampered", SIGNED_FIELDS)
     def test_signature_binds_every_field(self, ring, cls, tampered):
+        """Changing any one field invalidates the signature.
+
+        Signed bodies compare with ``==``, which takes ``1``, ``1.0`` and
+        ``True`` (or ``0.0`` and ``-0.0``) for one value.  That is moot
+        while every field is declared ``str``, ``Optional[str]``,
+        ``float`` or ``Decision``, and this test pins those types: a
+        field of any other declared type has no ``SAMPLES`` entry and
+        fails here.
+        """
         statement = cls.issue(ring.create("alice"), **{
             f.name: SAMPLES[f.type][0]
             for f in fields(cls)
@@ -166,8 +134,9 @@ class TestSigned:
 
     @pytest.mark.parametrize("cls", Signed.__subclasses__(), ids=lambda c: c.__name__)
     def test_own_key_forgery_rejected(self, ring, cls):
-        """Eve signs, with her own key, a statement naming Alice: the tag
-        verifies over the body, so only the signer check rejects it."""
+        """Eve signs, with her own key, a statement naming Alice: the
+        signature verifies over the body, so only the signer check
+        rejects it."""
         forged = cls.signed_by(ring.create("eve"), **{
             f.name: "alice" if f.name == cls.SIGNER else SAMPLES[f.type][0]
             for f in fields(cls)
@@ -176,6 +145,62 @@ class TestSigned:
         assert verify(ring, forged.signature, forged.body)
         assert not forged.valid(ring)
         assert not forged.valid(ring, expected_signer="alice")
+
+    @pytest.mark.parametrize("cls", Signed.__subclasses__(), ids=lambda c: c.__name__)
+    def test_rewritten_handle_rejected(self, ring, cls):
+        """Eve's own-key forgery with her handle's frozen signer field
+        rewritten to Alice: the ring recorded Eve as the signer."""
+        forged = _sample_statement(cls, ring.create("eve"), "alice")
+        object.__setattr__(forged.signature, "signer", "alice")
+        assert not verify(ring, forged.signature, forged.body)
+        assert not forged.valid(ring)
+
+    @pytest.mark.parametrize("cls", Signed.__subclasses__(), ids=lambda c: c.__name__)
+    @pytest.mark.parametrize("signature", [
+        pytest.param(None, id="none"),
+        pytest.param(Signature("alice"), id="hand-built"),
+        pytest.param(b"\x00" * 32, id="bytes"),
+    ])
+    def test_statement_without_its_signature_is_invalid(self, ring, cls, signature):
+        """A sender may ship any object as the signature of a statement
+        its signer really signed; the reader gets False, not an error."""
+        signed = _sample_statement(cls, ring.create("alice"), "alice")
+        unsigned = replace(signed, signature=signature)
+        assert signed.valid(ring)
+        assert not unsigned.valid(ring)
+        assert not unsigned.valid(ring, expected_signer="alice")
+
+    def test_lookalike_handle_rejected(self, ring):
+        """A handle subclass that equals everything and hashes like Bob's
+        handle finds that handle's record.  Every participant holds the
+        ring, so one could search for the hash by calling ``valid`` and
+        claim a χ it never received; only an exact ``Signature`` counts."""
+        cert = PaymentCertificate.issue(ring.create("bob"), payment_id="p")
+        real = cert.signature
+
+        class Lookalike(type(real)):
+            __slots__ = ()
+
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return hash(real)
+
+        claimed = replace(cert, signature=Lookalike("bob"))
+        assert verify(ring, claimed.signature, claimed.body)
+        assert not claimed.valid(ring)
+
+    @pytest.mark.parametrize("cls", [DecisionCertificate, Vote], ids=lambda c: c.__name__)
+    def test_decision_must_be_a_decision(self, ring, cls):
+        """A ``Decision`` equals its string value, so a plain ``"commit"``
+        swapped in would keep the signature valid while every reader
+        tests ``is Decision.COMMIT``: construction refuses it."""
+        signed = cls.issue(ring.create("alice"), payment_id="p", decision=Decision.COMMIT)
+        with pytest.raises(CryptoError):
+            replace(signed, decision="commit")
+        with pytest.raises(CryptoError):
+            cls.issue(ring.create("alice"), payment_id="p", decision="abort")
 
 
 class TestPaymentCertificate:

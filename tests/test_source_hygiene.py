@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.crypto.keys import KeyRing
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -66,12 +67,17 @@ def test_the_unused_import_scan_sees_every_import_form():
 
 #: What an import may take from the crypto package to sign or verify
 #: outside a signed statement: the functions, their module, or everything.
-SIGNING_NAMES = {"sign", "verify", "require_valid", "signatures", "*"}
+SIGNING_NAMES = {"sign", "verify", "signatures", "*"}
+
+#: The key ring's record of what its identities signed.
+RECORD = "_signatures"
 
 
-def _signing_imports(source: str):
-    """Lines that give a module ``sign`` or ``verify``: importing them,
-    the ``signatures`` module, or the crypto package as a module object."""
+def _signing_access(source: str):
+    """Lines that could sign or verify outside a signed statement:
+    importing ``sign``, ``verify``, the ``signatures`` module or the
+    crypto package as a module object; importing ``Signature`` (a
+    handle built by hand); or naming the key ring's record."""
     lines = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
@@ -80,23 +86,30 @@ def _signing_imports(source: str):
         elif isinstance(node, ast.ImportFrom):
             taken = {alias.name for alias in node.names}
             tail = (node.module or "").split(".")[-1]
-            if "crypto" in taken or (
+            if "crypto" in taken or "Signature" in taken or (
                 tail in ("crypto", "signatures") and taken & SIGNING_NAMES
             ):
                 lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == RECORD:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Constant) and node.value == RECORD:
+            lines.add(node.lineno)
     return sorted(lines)
 
 
 def test_only_the_crypto_package_signs_or_verifies():
     """A signed statement signs and verifies itself (``Signed.issue``,
-    ``Signed.valid``), so no other module builds a signed body by hand."""
+    ``Signed.valid``), so no other module builds a signed body, a
+    signature handle or an entry of the key ring's record by hand.
+    Every participant holds the ring, so this scan is what keeps a
+    verifier from writing what the ring records."""
     found = []
     for path in sorted(PACKAGE.rglob("*.py")):
         if path.relative_to(PACKAGE).parts[0] == "crypto":
             continue
-        for line in _signing_imports(path.read_text(encoding="utf-8")):
+        for line in _signing_access(path.read_text(encoding="utf-8")):
             found.append(f"{path.relative_to(PACKAGE)}:{line}")
-    assert not found, "sign/verify imported outside crypto/:\n" + "\n".join(found)
+    assert not found, "signing outside crypto/:\n" + "\n".join(found)
 
 
 def test_the_signing_import_scan_sees_every_import_form():
@@ -112,9 +125,17 @@ def test_the_signing_import_scan_sees_every_import_form():
         "from .. import crypto\n"
         "from ..crypto.signatures import *\n"
         "import hashlib, repro.crypto\n"
-        "from ..crypto.signatures import require_valid\n"
+        "from ..crypto.signatures import Signature\n"
+        "from repro.crypto import KeyRing, Signature as Handle\n"
+        "env.keyring._signatures[handle] = body\n"
+        "record = getattr(self.keyring, '_signatures')\n"
+        "self._signatures_seen = {}\n"
     )
-    assert _signing_imports(source) == [1, 2, 4, 7, 8, 9, 10, 11, 12]
+    assert _signing_access(source) == [1, 2, 4, 7, 8, 9, 10, 11, 12, 13, 14, 15]
+
+
+def test_the_scanned_record_is_the_key_rings():
+    assert isinstance(getattr(KeyRing(), RECORD), dict)
 
 
 def test_importing_the_main_module_runs_nothing(monkeypatch, capsys):
