@@ -37,13 +37,6 @@ class Decision(str, Enum):
     ABORT = "abort"
 
 
-def _check_decision(decision: object) -> None:
-    # A Decision equals its string value, so a plain "commit" swapped in
-    # would still verify, while every reader tests ``is Decision.COMMIT``.
-    if not isinstance(decision, Decision):
-        raise CryptoError(f"decision must be a Decision, got {decision!r}")
-
-
 @dataclass(frozen=True)
 class PaymentCertificate(Signed):
     """χ — Bob's signed statement that his payment obligation is met.
@@ -74,9 +67,6 @@ class DecisionCertificate(Signed):
     decision: Decision
     issuer: str
 
-    def __post_init__(self) -> None:
-        _check_decision(self.decision)
-
     @property
     def is_commit(self) -> bool:
         return self.decision is Decision.COMMIT
@@ -92,9 +82,6 @@ class Vote(Signed):
     payment_id: str
     decision: Decision
     notary: str
-
-    def __post_init__(self) -> None:
-        _check_decision(self.decision)
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,17 @@ attributable to identities it holds* — rests on structure: signing
 requires the :class:`Identity` object, and no module outside this
 package makes a signature handle or touches the record (an ``ast`` scan
 in ``tests/test_source_hygiene.py``).  Participants hold the ring to
-verify.  :meth:`KeyRing.create` returns the identity of any name, so
-only the code that assembles a run's world calls it, handing each
-participant its own.
+verify, so holding the ring must not yield an identity:
+:meth:`KeyRing.create` issues each name's identity once, to the code
+that assembles a run's world, which hands each participant its own.
+The ring remembers only the names it issued, never the identities, so
+a dropped ring and its record are freed by reference counting alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Set
 
 from ..errors import CryptoError
 
@@ -43,17 +45,23 @@ class KeyRing:
     """
 
     def __init__(self) -> None:
-        self._identities: Dict[str, Identity] = {}
+        #: Names whose identity this ring has issued.
+        self._issued: Set[str] = set()
         #: Signature handle → (its signer's name, the body it was made over).
         self._signatures: Dict[Any, Any] = {}
 
     def create(self, name: str) -> Identity:
-        """Create (or return the existing) identity for ``name``."""
-        existing = self._identities.get(name)
-        if existing is not None:
-            return existing
+        """Issue the identity for ``name``; each name is issued once.
+
+        Raises
+        ------
+        CryptoError
+            If this ring already issued ``name``'s identity.
+        """
+        if name in self._issued:
+            raise CryptoError(f"identity {name!r} was already issued")
         identity = Identity(name=name, ring=self)
-        self._identities[name] = identity
+        self._issued.add(name)
         return identity
 
 

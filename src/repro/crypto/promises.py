@@ -39,6 +39,7 @@ class Guarantee(Signed):
     d: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.d <= 0:
             raise CryptoError(f"guarantee window d must be > 0, got {self.d!r}")
 
@@ -62,6 +63,7 @@ class PaymentPromise(Signed):
     issued_at_local: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         if self.a <= 0:
             raise CryptoError(f"promise window a must be > 0, got {self.a!r}")
 

@@ -13,14 +13,30 @@ proves it was received.
 subclass declares its fields; the base signs and verifies the body
 ``(KIND, *every field but signature)`` read off the instance, so a
 signature binds every field and no second copy of the body exists.
+Bodies compare with ``==``, so the base also refuses, when a statement
+is built, any field value not exactly of its declared type: a value
+whose ``__eq__`` always answers True would otherwise keep a signature
+valid while it equals whatever a reader compares it with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import lru_cache
-from typing import Any, ClassVar, Optional, Tuple, Type, TypeVar
+from typing import (
+    Any,
+    ClassVar,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
+from ..errors import CryptoError
 from .keys import Identity, KeyRing
 
 
@@ -63,6 +79,25 @@ def _body_fields(cls: type) -> Tuple[str, ...]:
     return tuple(f.name for f in fields(cls) if f.name != "signature")
 
 
+def _exact_types(hint: Any) -> Tuple[type, ...]:
+    """The exact types a value of declared type ``hint`` may have.
+
+    Subclasses are refused (a ``str`` subclass can redefine ``__eq__``);
+    a ``float`` field also takes an ``int``, the same value to ``==``.
+    """
+    if get_origin(hint) is Union:
+        return tuple(t for arg in get_args(hint) for t in _exact_types(arg))
+    if hint is float:
+        return (float, int)
+    return (hint,)
+
+
+@lru_cache(maxsize=None)
+def _body_types(cls: type) -> Tuple[Tuple[str, Tuple[type, ...]], ...]:
+    hints = get_type_hints(cls)
+    return tuple((name, _exact_types(hints[name])) for name in _body_fields(cls))
+
+
 @dataclass(frozen=True)
 class Signed:
     """A statement signed by the party one of its fields names.
@@ -77,6 +112,19 @@ class Signed:
     SIGNER: ClassVar[str]
 
     signature: Signature = field(kw_only=True)
+
+    def __post_init__(self) -> None:
+        """Refuse a body field not exactly of its declared type.
+
+        A subclass with checks of its own calls this first.
+        """
+        for name, types in _body_types(type(self)):
+            value = getattr(self, name)
+            if type(value) not in types:
+                raise CryptoError(
+                    f"{type(self).__name__}.{name} must be "
+                    f"{' or '.join(t.__name__ for t in types)}, got {value!r}"
+                )
 
     @property
     def body(self) -> Tuple[Any, ...]:

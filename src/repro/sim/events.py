@@ -9,9 +9,11 @@ events share a timestamp — a crucial property for reproducible
 simulations (same seed, same trace).
 
 Events support O(1) cancellation: ``Simulator.cancel`` marks the event
-cancelled and the kernel discards it lazily when it reaches the head of
-the heap.  Firing marks the event ``fired`` instead: a fired event is
-spent, so cancelling it afterwards is a no-op.
+cancelled and drops its callback and arguments, and the kernel discards
+the remaining shell lazily when it reaches the head of the heap, so a
+cancelled event keeps nothing alive while it waits there.  Firing marks
+the event ``fired`` instead: a fired event is spent, so cancelling it
+afterwards is a no-op.
 
 ``Event`` is a hand-written ``__slots__`` class rather than a
 dataclass: event construction is the hottest code in the repo (every

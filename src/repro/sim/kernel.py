@@ -9,9 +9,12 @@ The kernel owns its event heap.  Entries are flat ``(time, priority,
 seq, event)`` tuples, so every sift compares native floats and ints and
 never an ``Event`` (``seq`` is unique, so the trailing event is never
 compared).  :meth:`Simulator.schedule` and :meth:`Simulator.schedule_at`
-push, :meth:`Simulator.cancel` only marks the event, and
-:meth:`Simulator.run` is the only code that pops: it discards a
-cancelled head lazily when it reaches the root.
+push, :meth:`Simulator.cancel` marks the event and drops its callback
+and arguments, and :meth:`Simulator.run` is the only code that pops: it
+discards a cancelled head lazily when it reaches the root.  Until then
+the heap keeps a bare shell of the cancelled event, which reaches
+nothing its callback did: a workload payment's cancelled deadline lies
+deep in the heap, and must not keep the payment's world alive.
 
 Determinism contract
 --------------------
@@ -29,6 +32,10 @@ the kernel re-arms it in place instead of calling back, drawing its
 next ``seq`` exactly where a callback re-arming itself would draw it.
 Unparking restores the callback, and the event fires at the place it
 holds.  Every count and every event order is that of the running timer.
+While parked, the heap entry keeps only the tick's period and firing
+count; the saved callback waits on the :class:`Park` handle, which the
+event's owner holds.  So a parked tick never keeps its owner alive: an
+owner nothing else references is freed, and its tick fires on.
 """
 
 from __future__ import annotations
@@ -70,27 +77,44 @@ else:
         return 0
 
 
-def _parked(park: "Park") -> None:
+class _Tick:
+    """What a parked event's heap entry keeps: its period and firings."""
+
+    __slots__ = ("interval", "firings")
+
+    def __init__(self, interval: float) -> None:
+        self.interval = interval
+        self.firings = 0
+
+
+def _parked(tick: _Tick) -> None:
     """The callback of a parked event: the kernel re-arms, never calls."""
-    raise SimulationError(f"{park.event!r} is parked and cannot be fired")
+    raise SimulationError(
+        f"a parked event (period {tick.interval!r}) cannot be fired"
+    )
 
 
 class Park:
     """The handle of a parked event (see :meth:`Simulator.park`).
 
     While parked, the event's callback is the kernel's ``_parked``
-    sentinel and its arguments are ``(self,)``; the original callback
-    and arguments wait here.  ``firings`` counts the in-place firings.
+    sentinel and its only argument the tick's period and firing count;
+    the original callback and arguments wait here, on the handle the
+    event's owner holds, and nothing in the heap reaches them.
     """
 
-    __slots__ = ("event", "interval", "firings", "_fn", "_args")
+    __slots__ = ("event", "_tick", "_fn", "_args")
 
-    def __init__(self, event: Event, interval: float) -> None:
+    def __init__(self, event: Event, tick: _Tick) -> None:
         self.event = event
-        self.interval = interval
-        self.firings = 0
+        self._tick = tick
         self._fn: Callable[..., Any] = event.fn
         self._args: Tuple[Any, ...] = event.args
+
+    @property
+    def firings(self) -> int:
+        """How many times the event fired in place while parked."""
+        return self._tick.firings
 
     def unpark(self) -> None:
         """Restore the callback; the event fires at the place it holds."""
@@ -256,11 +280,14 @@ class Simulator:
     def cancel(self, event: Event) -> None:
         """Cancel a previously scheduled event (idempotent).
 
-        Only marks the event: :meth:`run` discards it when it reaches
-        the head of the heap.  Cancelling a fired event is a no-op.
+        Marks the event and drops its callback and arguments, so the
+        shell the heap keeps until :meth:`run` discards it at the head
+        holds nothing alive.  Cancelling a fired event is a no-op.
         """
         if not event.fired:
             event.cancelled = True
+            event.fn = None
+            event.args = None
 
     def park(self, event: Event, interval: float) -> Park:
         """Park a pending periodic event until its handle unparks it.
@@ -274,6 +301,10 @@ class Simulator:
         it cannot terminate a process or stop the run.  Cancelling a
         parked event works as for any other.
 
+        The heap entry keeps only the period and the firing count; the
+        callback and its arguments move to the returned handle, so the
+        tick keeps nothing alive that only the callback reached.
+
         Raises
         ------
         SchedulingError
@@ -284,9 +315,10 @@ class Simulator:
             raise SchedulingError(f"cannot park {event!r}")
         if not (0.0 < interval < _INF):
             raise SchedulingError(f"park interval must be > 0: {interval!r}")
-        park = Park(event, interval)
+        tick = _Tick(interval)
+        park = Park(event, tick)
         event.fn = _parked
-        event.args = (park,)
+        event.args = (tick,)
         return park
 
     def stop(self) -> None:
@@ -372,7 +404,7 @@ class Simulator:
         # Parked events: one identity check per event.  A parked head
         # fires in place — re-armed one interval later by a single
         # heapreplace, its next seq drawn now — and is never recycled
-        # (its Park handle holds it).
+        # (it never leaves the heap).
         heap = self._heap
         free_append = self._free.append
         heappop = _heappop  # local binding: LOAD_FAST in the loop
@@ -398,9 +430,7 @@ class Simulator:
                 if event.cancelled:
                     heappop(heap)  # discard the dead head lazily
                     if getrefcount(event) == 3:
-                        event.fn = None
-                        event.args = None
-                        free_append(event)
+                        free_append(event)  # cancel() emptied it
                     continue
                 time = head[0]
                 if time > horizon:
@@ -411,9 +441,9 @@ class Simulator:
                 self._executed += 1
                 fn = event.fn
                 if fn is parked:
-                    park = event.args[0]
-                    park.firings += 1
-                    event.time = later = time + park.interval
+                    tick = event.args[0]
+                    tick.firings += 1
+                    event.time = later = time + tick.interval
                     event.seq = seq = next_seq()
                     heapreplace(heap, (later, event.priority, seq, event))
                 else:

@@ -42,6 +42,18 @@ completion :class:`~repro.sim.process.Latch`, which sits on its view:
 the termination that empties it queues the payment and stops the
 kernel, so the cell finalizes it after that event — at the instant and
 event count a solo run stops at — and runs on.
+
+What a finished payment leaves
+------------------------------
+Finalizing a payment drops the cell's last reference to its session,
+so its world is freed by reference counting right then, and a cell's
+memory follows the payments in flight rather than the payments run.
+The kernel keeps two shells that reach none of it: the payment's
+cancelled deadline, which stays in the heap until the cell ends (the
+kernel discards a cancelled event only when it reaches the head), and,
+for a chain-backed payment (``certified``, or ``weak`` with
+``tm=contract``), its chain's parked block tick, which keeps firing
+(and counting in ``kernel_events``) until the cell ends.
 """
 
 from __future__ import annotations

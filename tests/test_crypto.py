@@ -1,10 +1,13 @@
 """Unit and property-based tests: simulated crypto."""
 
+import weakref
 from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core.session import PaymentSession
+from repro.core.topology import PaymentTopology
 from repro.crypto.certificates import (
     Decision,
     DecisionCertificate,
@@ -17,11 +20,30 @@ from repro.crypto.keys import KeyRing
 from repro.crypto.promises import Guarantee, PaymentPromise
 from repro.crypto.signatures import Signature, Signed, SignedClaim, sign, verify
 from repro.errors import CryptoError
+from repro.net.timing import Synchronous
+
+
+class _HandingRing(KeyRing):
+    """A ring that hands a test, by name, the identity it issued for it.
+
+    A :class:`KeyRing` issues each name once; the code that assembles a
+    run's world keeps what it was issued, as this ring does for the
+    tests below.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.identities = {}
+
+    def create(self, name):
+        if name not in self.identities:
+            self.identities[name] = super().create(name)
+        return self.identities[name]
 
 
 @pytest.fixture()
 def ring():
-    ring = KeyRing()
+    ring = _HandingRing()
     for name in ("alice", "bob", "eve"):
         ring.create(name)
     return ring
@@ -95,6 +117,25 @@ def _sample_statement(cls, identity, signer):
         for f in fields(cls)
         if f.name != "signature"
     })
+
+
+class _AlwaysEqual:
+    """A value equal to every other."""
+
+    def __eq__(self, other):
+        return True
+
+    def __hash__(self):
+        return 0
+
+
+class _LooseStr(str):
+    """A ``str`` whose equality answers True to everything."""
+
+    def __eq__(self, other):
+        return True
+
+    __hash__ = str.__hash__
 
 
 SIGNED_FIELDS = [
@@ -201,6 +242,68 @@ class TestSigned:
             replace(signed, decision="commit")
         with pytest.raises(CryptoError):
             cls.issue(ring.create("alice"), payment_id="p", decision="abort")
+
+    @pytest.mark.parametrize("cls, field", SIGNED_FIELDS)
+    @pytest.mark.parametrize("impostor", [
+        pytest.param(_AlwaysEqual(), id="always-equal"),
+        pytest.param(_LooseStr("alice"), id="str-subclass"),
+        pytest.param(True, id="bool"),
+    ])
+    def test_every_field_refuses_a_value_not_of_its_type(
+        self, ring, cls, field, impostor
+    ):
+        """Bodies compare with ``==``: a value equal to everything would
+        keep the signature valid and equal every id a reader compares
+        it with, so no statement can be built around one."""
+        statement = _sample_statement(cls, ring.create("alice"), "alice")
+        with pytest.raises(CryptoError):
+            replace(statement, **{field.name: impostor})
+
+    @pytest.mark.parametrize(
+        "cls", [Guarantee, PaymentPromise], ids=lambda c: c.__name__
+    )
+    def test_a_float_field_takes_an_int(self, ring, cls):
+        """``5`` and ``5.0`` are one value to ``==``, so a window may be
+        written either way."""
+        statement = cls.issue(ring.create("alice"), **{
+            f.name: 5 if f.type == "float" else SAMPLES[f.type][0]
+            for f in fields(cls)
+            if f.name not in ("signature", cls.SIGNER)
+        })
+        assert statement.valid(ring)
+
+
+class TestKeyRing:
+    def test_each_identity_is_issued_once(self):
+        ring = KeyRing()
+        alice = ring.create("alice")
+        with pytest.raises(CryptoError):
+            ring.create("alice")
+        assert ring.create("bob").name == "bob"
+        assert PaymentCertificate.issue(alice, payment_id="p").valid(ring)
+
+    @pytest.mark.parametrize(
+        "protocol", ["timebounded", "weak", "htlc", "certified"]
+    )
+    def test_holding_the_ring_yields_no_identity(self, protocol):
+        """Every participant holds the ring to verify; none can take
+        Bob's identity from it and sign his χ."""
+        topology = PaymentTopology.linear(3)
+        session = PaymentSession(topology, protocol, Synchronous(1.0), seed=0)
+        session.launch()
+        with pytest.raises(CryptoError):
+            session.env.keyring.create(topology.bob)
+
+    def test_a_dropped_ring_is_freed_by_reference_counting(
+        self, refcounting_only
+    ):
+        ring = KeyRing()
+        chi = PaymentCertificate.issue(ring.create("bob"), payment_id="p")
+        vote = Vote.issue(ring.create("n0"), payment_id="p", decision=Decision.COMMIT)
+        assert chi.valid(ring) and vote.valid(ring)
+        watched = weakref.ref(ring)
+        del ring, chi, vote
+        assert watched() is None
 
 
 class TestPaymentCertificate:

@@ -1,5 +1,8 @@
 """Unit tests: the simulation kernel."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SchedulingError, SimulationError
@@ -386,3 +389,55 @@ class TestEventSlab:
             fresh.schedule(fresh_rng.uniform(0, 10), expected.append, i)
         fresh.run()
         assert order == expected
+
+
+class _Holder:
+    """An object a test watches die through a weak reference."""
+
+    def method(self, *args):
+        pass
+
+
+class _Owner:
+    """Owns a periodic tick the way a chain does: the callback is a bound
+    method, and the owner keeps the park handle."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.park = sim.park(sim.schedule(1.0, self.tick), 1.0)
+
+    def tick(self):
+        self.sim.schedule(1.0, self.tick)
+
+
+class TestWhatTheHeapKeeps:
+    """A cancelled event or a parked tick waits in the heap as a shell
+    that reaches nothing its callback did."""
+
+    def test_cancelled_event_in_the_heap_holds_no_callback_or_args(
+        self, refcounting_only
+    ):
+        sim = Simulator()
+        owner, argument = _Holder(), _Holder()
+        watched = [weakref.ref(owner), weakref.ref(argument)]
+        fired = []
+        sim.schedule(10.0, fired.append, "live")
+        event = sim.schedule(5.0, owner.method, argument)
+        sim.cancel(event)
+        del owner, argument
+        assert len(sim._heap) == 2  # the shell is still in the heap
+        assert event.fn is None and event.args is None
+        assert [ref() for ref in watched] == [None, None]
+        assert sim.run() == 1 and fired == ["live"]
+
+    def test_parked_tick_does_not_keep_its_owner_alive(self):
+        sim = Simulator()
+        owner = _Owner(sim)
+        watched = weakref.ref(owner)
+        assert sim.run(until=2.5) == 2
+        assert owner.park.firings == 2
+        del owner
+        gc.collect()
+        assert watched() is None
+        assert sim.run(until=5.5) == 3
+        assert sim.executed_events == 5 and sim.pending_events == 1

@@ -65,6 +65,44 @@ def test_the_unused_import_scan_sees_every_import_form():
     assert _unused_imports(source) == [(2, "os"), (3, "codec"), (4, "Any")]
 
 
+def _gc_imports(source: str):
+    """Lines that import the garbage collector's module."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "gc" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if node.level == 0 and node.module.split(".")[0] == "gc":
+                lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_drives_the_garbage_collector():
+    """Memory is released by dropping references.  A ``gc.collect()``
+    per workload cell would hide a reference that pins a finished
+    payment's world, and pay a full heap traversal every time."""
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for line in _gc_imports(path.read_text(encoding="utf-8")):
+            found.append(f"{path.relative_to(PACKAGE)}:{line}")
+    assert not found, "gc imported in src/:\n" + "\n".join(found)
+
+
+def test_the_gc_import_scan_sees_every_import_form():
+    source = (
+        "import gc\n"
+        "from gc import collect\n"
+        "import gc as g\n"
+        "import gcd, os\n"
+        "from .gc import collect\n"
+        "def late():\n"
+        "    import os, gc\n"
+        "text = 'import gc'\n"
+    )
+    assert _gc_imports(source) == [1, 2, 3, 7]
+
+
 #: What an import may take from the crypto package to sign or verify
 #: outside a signed statement: the functions, their module, or everything.
 SIGNING_NAMES = {"sign", "verify", "signatures", "*"}

@@ -19,10 +19,14 @@ module is that promise as tests:
 * regressions for the single-session assumptions the workload layer
   had to break: per-worker adversary caching, session-scoped RNG and
   trace isolation, and the kernel's event counter being exact *inside*
-  callbacks (not just between runs).
+  callbacks (not just between runs);
+* memory that follows the payments in flight: a finished payment's
+  session is freed when the cell finalizes it.
 """
 
 from __future__ import annotations
+
+import weakref
 
 import pytest
 
@@ -516,6 +520,34 @@ def test_kernel_event_counter_is_exact_inside_callbacks():
     # The i-th tick observes itself already counted: i+1 events so far.
     assert seen == [(i, i + 1) for i in range(10)]
     assert sim.executed_events == 10
+
+
+@pytest.mark.parametrize("protocol", ["timebounded", "weak", "htlc", "certified"])
+def test_a_cell_holds_only_the_sessions_in_flight(
+    protocol, monkeypatch, refcounting_only
+):
+    """Reference counting alone frees a finished payment's session: the
+    kernel keeps no callback of its cancelled deadline and no callback
+    of its chain's parked tick, which would pin the whole world."""
+    sessions = []
+    live_at_collect = []
+    launch, collect = PaymentSession.launch, PaymentSession.collect
+
+    def watched_launch(self):
+        sessions.append(weakref.ref(self))
+        return launch(self)
+
+    def counted_collect(self, *args, **kwargs):
+        live_at_collect.append(sum(ref() is not None for ref in sessions))
+        return collect(self, *args, **kwargs)
+
+    monkeypatch.setattr(PaymentSession, "launch", watched_launch)
+    monkeypatch.setattr(PaymentSession, "collect", counted_collect)
+    cell = run_workload_cell(protocol=protocol, count=40, load=0.02, seed=5)
+    assert cell["liquidity_failures"] == 0
+    assert len(sessions) == len(live_at_collect) == 40
+    assert max(live_at_collect) <= 2
+    assert all(ref() is None for ref in sessions)
 
 
 # -- monotone liquidity failure -------------------------------------------
